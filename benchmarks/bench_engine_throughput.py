@@ -4,11 +4,15 @@ Unlike the ``bench_fig*`` benches (which reproduce the *paper's*
 numbers), this one measures the *reproduction*: how many requests per
 host wall-clock second the discrete-event engine simulates, and where
 its Python time goes (event-queue handlers by tag, batch formation,
-link-load bookkeeping, controller ticks). The measurement harness is
-:class:`repro.obs.SelfProfilingObserver` — a NullObserver carrying only
-a :class:`~repro.obs.selfprof.SelfProfiler`, so the simulated *results*
-stay byte-identical to an unobserved run and the throughput number
-prices the simulator, not the telemetry.
+link-load bookkeeping, controller ticks). The measurement harness is the
+one host-time profiler, :class:`repro.obs.PhaseProfiler`, attached as
+the ``profiler`` of an otherwise disabled
+:class:`~repro.obs.NullObserver`, so the simulated *results* stay
+byte-identical to an unobserved run and the throughput number prices
+the simulator, not the telemetry. The profiler records the event loop
+as the ``engine.run`` section plus ``engine.requests_finished`` /
+``engine.events_fired`` counters; requests/sec and events/sec are
+derived from those here.
 
 Results land in ``engine_throughput.txt`` (tables) and
 ``BENCH_engine.json`` (the machine-readable perf baseline the CI
@@ -23,7 +27,7 @@ from repro.core import SLA_SIM_CHATBOT, SLA_TESTBED_CHATBOT
 from repro.baselines import HEROSERVE, build_system, simulate_trace
 from repro.llm import OPT_66B, OPT_175B
 from repro.network import build_testbed, build_xtracks_cluster
-from repro.obs import SelfProfiler, SelfProfilingObserver
+from repro.obs import NullObserver, PhaseProfiler
 from repro.serving import EngineConfig
 
 from common import (
@@ -65,7 +69,7 @@ SETTINGS = {
 
 
 def profile_setting(spec: dict) -> dict:
-    """One profiled HeroServe run; returns the SelfProfiler snapshot."""
+    """One profiled HeroServe run; returns its throughput and tables."""
     built = spec["builder"]()
     trace = chatbot_trace(spec["rate"], DURATION, seed=BENCH_SEED)
     system = build_system(
@@ -78,18 +82,27 @@ def profile_setting(spec: dict) -> dict:
         arrival_rate=spec["rate"],
         forced_parallel=spec["parallel"],
     )
-    selfprof = SelfProfiler()
+    observer = NullObserver()
+    observer.profiler = profiler = PhaseProfiler()
     metrics = simulate_trace(
-        system,
-        trace,
-        engine_config=EngineConfig(
-            observer=SelfProfilingObserver(selfprof)
-        ),
+        system, trace, engine_config=EngineConfig(observer=observer)
     )
-    snap = selfprof.snapshot()
-    snap["sim_finished"] = metrics.n_finished
-    snap["report"] = selfprof.report()
-    return snap
+    snap = profiler.snapshot()
+    sections = snap["phases"]
+    wall_s = sections.pop("engine.run")["total_s"]
+    requests = snap["counters"]["engine.requests_finished"]
+    events = snap["counters"]["engine.events_fired"]
+    return {
+        "wall_s": wall_s,
+        "requests_finished": requests,
+        "events_fired": events,
+        "requests_per_s": requests / wall_s,
+        "events_per_s": events / wall_s,
+        "sections": sections,
+        "event_handlers": snap["handlers"],
+        "sim_finished": metrics.n_finished,
+        "report": profiler.report("engine self-profile"),
+    }
 
 
 def run_engine_profile() -> dict[str, dict]:
@@ -152,7 +165,7 @@ def test_engine_throughput(benchmark):
         rows,
         title=(
             "Engine throughput: requests simulated per host wall-clock "
-            "second (SelfProfilingObserver — results byte-identical "
+            "second (profile-only NullObserver — results byte-identical "
             "to an unobserved run)"
         ),
     )

@@ -128,10 +128,6 @@ class CommContext:
             total += link.hop_latency + data_bytes / bw
         return total
 
-    def transfer_time(self, src: int, dst: int, data_bytes: float) -> float:
-        """Alias of :meth:`path_time` (KV-transfer naming in serving code)."""
-        return self.path_time(src, dst, data_bytes)
-
     def path_bottleneck(self, src: int, dst: int) -> float:
         """``min_e B(e)`` along the offline shortest path."""
         links = self.path_links(src, dst)

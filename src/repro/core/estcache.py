@@ -123,7 +123,7 @@ class EstimationCache:
     recomputes the same pure value, and the counters take a lock.
     """
 
-    def __init__(self, ctx: CommContext, profiler=None) -> None:
+    def __init__(self, ctx: CommContext) -> None:
         self.base = ctx
         if ctx.linkstate is None:
             #: evaluation context with memoized path lookups
@@ -132,7 +132,6 @@ class EstimationCache:
             # A live tracker makes path costs time-varying: evaluate on
             # the raw context and rely on version-checked invalidation.
             self.ctx = ctx
-        self.profiler = profiler
         self._group_memo: dict[tuple, GroupCommEstimate] = {}
         self._dist_memo: dict[tuple[int, ...], np.ndarray] = {}
         self._lock = threading.Lock()

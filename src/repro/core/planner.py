@@ -234,7 +234,7 @@ class OfflinePlanner:
         admissible = self._admissible(self.prefill_pool, p_tens, p_pipe)
         if len(admissible) < p_tens * p_pipe:
             return None
-        with self.observer.phase("planner.estimate_prefill"):
+        with self.observer.profiler.phase("planner.estimate_prefill"):
             est = estimate_network_latency(
                 self._phase_ctx(),
                 admissible,
@@ -275,7 +275,7 @@ class OfflinePlanner:
         admissible = self._admissible(self.decode_pool, p_tens, p_pipe)
         if len(admissible) < p_tens * p_pipe:
             return None
-        with self.observer.phase("planner.estimate_decode"):
+        with self.observer.profiler.phase("planner.estimate_decode"):
             est = estimate_network_latency(
                 self._phase_ctx(),
                 admissible,
@@ -337,7 +337,7 @@ class OfflinePlanner:
                 min_gpus_decode=forced_parallel.decode_gpus,
             )
         else:
-            with self.observer.phase("planner.candidates"):
+            with self.observer.profiler.phase("planner.candidates"):
                 cand = self._candidates()
         log.debug(
             "planning over %d candidates (scheme=%s)",
@@ -370,7 +370,7 @@ class OfflinePlanner:
                     )
                     continue
 
-                with self.observer.phase("planner.objective"):
+                with self.observer.profiler.phase("planner.objective"):
                     t_f = estimate_kv_transfer_time(
                         self.ctx,
                         self.model,

@@ -173,10 +173,7 @@ def build_route_table(
         )
     weights = link_weights(topology, data_bytes, bw, exclude_kinds)
     finite = np.isfinite(weights)
-    src, dst, weights, bw_kept = (
-        src[finite], dst[finite], weights[finite], bw[finite]
-    )
-    _ = bw_kept
+    src, dst, weights = src[finite], dst[finite], weights[finite]
     # csr_matrix sums duplicate entries; for parallel links we instead want
     # the minimum weight, so reduce duplicates beforehand.
     order = np.lexsort((weights, dst, src))

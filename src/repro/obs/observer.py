@@ -32,7 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.network.linkstate import LinkLoadTracker
     from repro.obs.attribution import AttributionCollector
     from repro.obs.recorder import FlightRecorder
-    from repro.obs.selfprof import SelfProfiler
     from repro.obs.slo import SLOMonitor
     from repro.serving.engine import ServingSimulator
     from repro.serving.request import RequestState
@@ -74,7 +73,6 @@ class Observer:
         slo: "SLOMonitor | None" = None,
         recorder: "FlightRecorder | None" = None,
         attribution: "AttributionCollector | None" = None,
-        selfprof: "SelfProfiler | None" = None,
     ) -> None:
         self.trace = trace or TraceRecorder(max_events=max_trace_events)
         self.metrics = metrics or MetricsRegistry()
@@ -86,9 +84,6 @@ class Observer:
         self.recorder = recorder
         #: optional per-request critical-path attribution collector
         self.attribution = attribution
-        #: optional simulator self-profiler (host wall-clock hot path);
-        #: read by the engine directly, independent of ``enabled``
-        self.selfprof = selfprof
 
         m = self.metrics
         self._slo_alerts = m.counter(
@@ -601,12 +596,6 @@ class Observer:
                 self.attribution.fleet_summary()
             )
 
-    # -- profiling ----------------------------------------------------------
-
-    def phase(self, name: str):
-        """Wall-clock phase timer (planner/grouping phases)."""
-        return self.profiler.phase(name)
-
     # -- export ---------------------------------------------------------------
 
     def export(
@@ -667,6 +656,11 @@ class NullObserver:
     The default on every config/constructor, so existing call sites and
     benchmarks pay only an attribute check (``obs.enabled``) or an empty
     method call when observability is off.
+
+    Assigning a live :class:`~repro.obs.profile.PhaseProfiler` to a
+    fresh instance's ``profiler`` gives a profile-only run: the engine,
+    controller and planner time themselves through ``profiler`` while
+    ``enabled`` stays ``False``, so results stay byte-identical.
     """
 
     enabled = False
@@ -676,7 +670,6 @@ class NullObserver:
     slo = None
     recorder = None
     attribution = None
-    selfprof = None
 
     def request_arrival(self, ts, req) -> None:
         pass
@@ -751,9 +744,6 @@ class NullObserver:
 
     def run_finished(self, ts, sim) -> None:
         pass
-
-    def phase(self, name: str):
-        return NULL_PROFILER.phase(name)
 
     def export(self, trace_path=None, metrics_path=None) -> None:
         pass

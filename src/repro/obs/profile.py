@@ -1,11 +1,30 @@
-"""Wall-clock phase profiling for the offline planner.
+"""Wall-clock host-time profiling: the simulator's one profiler.
 
-``bench_planner_time`` historically reported one number per planner run;
-the §III-C3 claim (28.57 % faster than DistServe's search) rests on
-*which* phases the heuristics cut — candidate enumeration, constrained
-k-means grouping, swap perturbation, objective evaluation. A
-:class:`PhaseProfiler` accumulates wall time per named phase so the
-benchmark can print that breakdown.
+A :class:`PhaseProfiler` accumulates host wall time per named phase for
+every layer that times itself:
+
+* the offline planner's Algorithm 1 phases — candidate enumeration,
+  constrained k-means grouping, swap perturbation, objective evaluation —
+  behind the §III-C3 solve-time claim (``planner.*``, ``grouping.*``,
+  ``netestimate.*``);
+* the engine and controller hot path — batch formation, link-load
+  bookkeeping, controller ticks and their poll/refresh split
+  (``engine.*``, ``controller.*``), plus the whole event loop
+  (``engine.run``);
+* per-event-tag handler time, recorded by
+  :meth:`~repro.sim.eventqueue.EventQueue.step`.
+
+Named *counters* sit beside the timers: the planner's estimation-cache
+hits/misses and the engine's ``engine.requests_finished`` /
+``engine.events_fired`` run totals, from which
+``benchmarks/bench_engine_throughput.py`` derives requests/events per
+second for ``BENCH_engine.json``.
+
+Attach it through the observer: ``Observer(profiler=p)`` for a fully
+observed run, or a :class:`~repro.obs.observer.NullObserver` whose
+``profiler`` attribute is set to a live profiler when only host time is
+wanted — ``enabled`` stays ``False`` there, so no telemetry is emitted
+and simulated results stay byte-identical to an unobserved run.
 
 Thread-safe: the planner's asynchronous prefill/decode estimation runs
 phases from two worker threads concurrently.
@@ -33,28 +52,49 @@ class PhaseStat:
         return self.total / self.count if self.count else float("nan")
 
 
+def _by_total(stats: dict[str, PhaseStat]) -> dict[str, PhaseStat]:
+    return dict(sorted(stats.items(), key=lambda kv: -kv[1].total))
+
+
+def _table(stats: dict[str, PhaseStat]) -> dict[str, dict[str, float]]:
+    return {
+        name: {"total_s": stat.total, "count": stat.count}
+        for name, stat in stats.items()
+    }
+
+
 class PhaseProfiler:
-    """Accumulates wall-clock time per named phase.
+    """Accumulates wall-clock time per named phase and per event tag.
 
     Besides timed phases it keeps named event *counters* (``count``) —
-    used by the planner's estimation cache to report hit/miss totals in
-    the same breakdown the benchmarks print.
+    used for the planner's estimation-cache hit/miss totals and the
+    engine's run totals.
     """
 
     enabled = True
 
     def __init__(self) -> None:
         self._stats: dict[str, PhaseStat] = {}
+        self._handlers: dict[str, PhaseStat] = {}
         self._counters: dict[str, int] = {}
         self._lock = threading.Lock()
 
+    @staticmethod
+    def _add(stats: dict[str, PhaseStat], name: str, elapsed: float) -> None:
+        stat = stats.get(name)
+        if stat is None:
+            stat = stats[name] = PhaseStat()
+        stat.total += elapsed
+        stat.count += 1
+
     def record(self, name: str, elapsed: float) -> None:
         with self._lock:
-            stat = self._stats.get(name)
-            if stat is None:
-                stat = self._stats[name] = PhaseStat()
-            stat.total += elapsed
-            stat.count += 1
+            self._add(self._stats, name, elapsed)
+
+    def record_handler(self, tag: str, elapsed: float) -> None:
+        """Accumulate one event-handler firing under its event tag."""
+        with self._lock:
+            self._add(self._handlers, tag, elapsed)
 
     @contextmanager
     def phase(self, name: str):
@@ -78,17 +118,30 @@ class PhaseProfiler:
     def breakdown(self) -> dict[str, PhaseStat]:
         """Phase -> stats, sorted by descending total time."""
         with self._lock:
-            items = sorted(
-                self._stats.items(), key=lambda kv: -kv[1].total
-            )
-        return dict(items)
+            return _by_total(self._stats)
+
+    def handlers(self) -> dict[str, PhaseStat]:
+        """Event tag -> handler stats, sorted by descending total time."""
+        with self._lock:
+            return _by_total(self._handlers)
 
     def phase_times(self) -> dict[str, float]:
         """Phase -> total seconds (the flat view reports embed)."""
         return {k: v.total for k, v in self.breakdown().items()}
 
+    def snapshot(self) -> dict:
+        """JSON-ready ``{"phases", "handlers", "counters"}`` tables."""
+        return {
+            "phases": _table(self.breakdown()),
+            "handlers": _table(self.handlers()),
+            "counters": self.counters(),
+        }
+
     def report(self, title: str = "phase breakdown") -> str:
         rows = self.breakdown()
+        rows.update(
+            (f"handler {tag}", stat) for tag, stat in self.handlers().items()
+        )
         counters = self.counters()
         if not rows and not counters:
             return f"{title}: (no phases recorded)"
@@ -109,6 +162,7 @@ class PhaseProfiler:
     def reset(self) -> None:
         with self._lock:
             self._stats.clear()
+            self._handlers.clear()
             self._counters.clear()
 
 
@@ -134,6 +188,9 @@ class NullProfiler:
     def record(self, name: str, elapsed: float) -> None:
         pass
 
+    def record_handler(self, tag: str, elapsed: float) -> None:
+        pass
+
     def phase(self, name: str):
         return _NULL_CONTEXT
 
@@ -146,8 +203,14 @@ class NullProfiler:
     def breakdown(self) -> dict[str, PhaseStat]:
         return {}
 
+    def handlers(self) -> dict[str, PhaseStat]:
+        return {}
+
     def phase_times(self) -> dict[str, float]:
         return {}
+
+    def snapshot(self) -> dict:
+        return {"phases": {}, "handlers": {}, "counters": {}}
 
     def report(self, title: str = "phase breakdown") -> str:
         return f"{title}: (profiling disabled)"

@@ -111,7 +111,7 @@ class EventQueue:
     def step(self, profiler=None) -> bool:
         """Fire the next live event. Returns ``False`` if none remain.
 
-        ``profiler`` (a :class:`~repro.obs.selfprof.SelfProfiler`) gets
+        ``profiler`` (a :class:`~repro.obs.profile.PhaseProfiler`) gets
         the handler's host wall-clock time per event tag — the pop-level
         hot-path instrumentation of the simulator self-profile.
         """
@@ -127,7 +127,7 @@ class EventQueue:
             else:
                 t0 = time.perf_counter()
                 ev.fn(*ev.args)
-                profiler.event(
+                profiler.record_handler(
                     ev.tag or "untagged", time.perf_counter() - t0
                 )
             return True

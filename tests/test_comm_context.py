@@ -57,12 +57,6 @@ class TestViews:
         g = tb.topology.gpu_ids()[0]
         assert het.path_time(g, g, 1e6) == 0.0
 
-    def test_transfer_time_alias(self, het, tb):
-        g = tb.topology.gpu_ids()
-        assert het.transfer_time(g[0], g[4], 1e6) == het.path_time(
-            g[0], g[4], 1e6
-        )
-
 
 class TestLivePricing:
     def test_congestion_raises_path_time(self, tb):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import logging
 import threading
 
@@ -53,11 +54,15 @@ class TestPhaseProfiler:
         assert list(p.breakdown()) == ["big", "small"]
 
     def test_thread_safety(self):
+        """The planner's estimation threads and the engine share one
+        profiler: phases, handler times and counters all take the lock."""
         p = PhaseProfiler()
 
         def worker():
             for _ in range(500):
                 p.record("t", 0.001)
+                p.record_handler("tag", 0.001)
+                p.count("n")
 
         threads = [threading.Thread(target=worker) for _ in range(4)]
         for t in threads:
@@ -65,12 +70,49 @@ class TestPhaseProfiler:
         for t in threads:
             t.join()
         assert p.breakdown()["t"].count == 2000
+        assert p.handlers()["tag"].count == 2000
+        assert p.counters()["n"] == 2000
+
+    def test_record_handler_accumulates(self):
+        p = PhaseProfiler()
+        p.record("engine.link_load", 0.5)
+        p.record("engine.link_load", 0.25)
+        p.record_handler("decode_iter", 0.1)
+        assert p.breakdown()["engine.link_load"].total == 0.75
+        assert p.breakdown()["engine.link_load"].count == 2
+        assert p.handlers()["decode_iter"].count == 1
+        assert "decode_iter" not in p.breakdown()
+
+    def test_snapshot_shape(self):
+        p = PhaseProfiler()
+        p.record("a", 0.1)
+        p.record_handler("t", 0.2)
+        p.count("engine.events_fired", 2)
+        snap = p.snapshot()
+        assert snap == {
+            "phases": {"a": {"total_s": 0.1, "count": 1}},
+            "handlers": {"t": {"total_s": 0.2, "count": 1}},
+            "counters": {"engine.events_fired": 2},
+        }
+        assert json.loads(json.dumps(snap)) == snap
+
+    def test_report_lists_handlers_and_counters(self):
+        p = PhaseProfiler()
+        p.record("engine.batch_formation", 0.002)
+        p.record_handler("decode_iter", 0.004)
+        p.count("engine.requests_finished", 3)
+        text = p.report()
+        assert "engine.batch_formation" in text
+        assert "handler decode_iter" in text
+        assert "engine.requests_finished" in text
 
     def test_reset(self):
         p = PhaseProfiler()
         p.record("a", 1.0)
+        p.record_handler("t", 1.0)
+        p.count("n")
         p.reset()
-        assert p.phase_times() == {}
+        assert p.snapshot() == NULL_PROFILER.snapshot()
 
     def test_report_mentions_phases(self):
         p = PhaseProfiler()
@@ -86,7 +128,11 @@ class TestNullProfiler:
     def test_usable_as_context(self):
         with NULL_PROFILER.phase("x"):
             pass
+        NULL_PROFILER.record_handler("t", 1.0)
+        NULL_PROFILER.count("n")
         assert NULL_PROFILER.phase_times() == {}
+        assert NULL_PROFILER.handlers() == {}
+        assert NULL_PROFILER.counters() == {}
 
     def test_disabled_flag(self):
         assert NULL_PROFILER.enabled is False

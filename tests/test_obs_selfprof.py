@@ -1,10 +1,12 @@
-"""Simulator self-profiling (:mod:`repro.obs.selfprof`).
+"""Simulator self-profile through the one host-time profiler.
 
-The BENCH_engine measurement harness: host wall-clock accumulators for
-the engine hot path. The load-bearing property is *non-interference* —
-a run measured through :class:`SelfProfilingObserver` must produce a
+The BENCH_engine measurement harness is :class:`PhaseProfiler` reached
+through ``observer.profiler``: engine/controller sections, per-event-tag
+handler times and run totals, in the same ledger as the planner phases.
+The load-bearing property is *non-interference* — a profile-only run (a
+:class:`NullObserver` carrying a live profiler) must produce a
 byte-identical ``summary()`` to an unobserved run, because the profiler
-only times handlers, it never participates in simulation decisions.
+only times code, it never participates in simulation decisions.
 """
 
 from __future__ import annotations
@@ -13,68 +15,50 @@ import json
 
 import inspect
 
-from repro import quick_testbed
-from repro.obs import Observer, SelfProfiler, SelfProfilingObserver
+from repro import (
+    HEROSERVE,
+    OPT_66B,
+    SLA_TESTBED_CHATBOT,
+    CostModelBank,
+    build_testbed,
+    generate_sharegpt_trace,
+    quick_testbed,
+    simulate_trace,
+)
+from repro.baselines import ServingSystem
+from repro.comm import CommContext, SchemeKind
+from repro.core.planner import OfflinePlanner
+from repro.llm import A100, V100
+from repro.obs import Observer, PhaseProfiler
 from repro.obs.observer import NullObserver
 from repro.serving import EngineConfig
 from repro.sim.eventqueue import EventQueue
+from repro.util.rng import make_rng
+
+ENGINE_SECTIONS = (
+    "engine.batch_formation",
+    "engine.link_load",
+    "engine.controller_tick",
+    "controller.poll",
+    "controller.refresh",
+)
 
 
-class TestSelfProfilerUnit:
-    def test_accumulates_sections_and_events(self):
-        sp = SelfProfiler()
-        sp.add("engine.link_load", 0.5)
-        sp.add("engine.link_load", 0.25)
-        sp.event("decode_iter", 0.1)
-        assert sp.sections["engine.link_load"] == [0.75, 2]
-        assert sp.handlers["decode_iter"] == [0.1, 1]
+def profile_only_observer() -> NullObserver:
+    observer = NullObserver()
+    observer.profiler = PhaseProfiler()
+    return observer
 
-    def test_run_bracketing_and_rates(self):
-        sp = SelfProfiler()
-        sp.run_started()
-        sp.run_finished(n_finished=10, events_fired=100)
-        assert sp.runs == 1
-        assert sp.requests_finished == 10
-        assert sp.events_fired == 100
-        assert sp.wall_s > 0.0
-        assert sp.requests_per_s > 0.0
-        assert sp.events_per_s > sp.requests_per_s
 
-    def test_zero_wall_clock_rates(self):
-        sp = SelfProfiler()
-        assert sp.requests_per_s == 0.0
-        assert sp.events_per_s == 0.0
-
-    def test_snapshot_shape(self):
-        sp = SelfProfiler()
-        sp.add("a", 0.1)
-        sp.event("t", 0.2)
-        sp.run_started()
-        sp.run_finished(1, 2)
-        snap = sp.snapshot()
-        for key in (
-            "runs",
-            "wall_s",
-            "events_fired",
-            "events_per_s",
-            "requests_finished",
-            "requests_per_s",
-            "sections",
-            "event_handlers",
-        ):
-            assert key in snap, key
-        assert snap["sections"]["a"] == {"total_s": 0.1, "count": 1.0}
-        # snapshot is JSON-serialisable as-is (the bench file format)
-        json.dumps(snap)
-
-    def test_report_text(self):
-        sp = SelfProfiler()
-        sp.add("engine.batch_formation", 0.002)
-        sp.event("decode_iter", 0.004)
-        text = sp.report()
-        assert "engine.batch_formation" in text
-        assert "decode_iter" in text
-        assert "us/call" in text
+def profiled_testbed_run(duration: float = 20.0):
+    observer = profile_only_observer()
+    _, metrics = quick_testbed(
+        rate=1.0,
+        duration=duration,
+        seed=0,
+        engine_config=EngineConfig(observer=observer),
+    )
+    return observer.profiler, metrics
 
 
 class TestEventQueueProfiling:
@@ -84,12 +68,14 @@ class TestEventQueueProfiling:
         q.schedule(0.1, fired.append, "a", tag="alpha")
         q.schedule(0.2, fired.append, "b", tag="alpha")
         q.schedule(0.3, fired.append, "c")  # untagged
-        sp = SelfProfiler()
-        q.run(profiler=sp)
+        p = PhaseProfiler()
+        q.run(profiler=p)
         assert fired == ["a", "b", "c"]
-        assert sp.handlers["alpha"][1] == 2
-        assert sp.handlers["untagged"][1] == 1
-        assert all(acc[0] >= 0.0 for acc in sp.handlers.values())
+        handlers = p.handlers()
+        assert handlers["alpha"].count == 2
+        assert handlers["untagged"].count == 1
+        assert all(stat.total >= 0.0 for stat in handlers.values())
+        assert p.breakdown() == {}  # handler time is its own table
 
     def test_no_profiler_records_nothing(self):
         q = EventQueue()
@@ -99,89 +85,105 @@ class TestEventQueueProfiling:
 
 
 class TestEngineIntegration:
-    def run_profiled(self):
-        observer = SelfProfilingObserver()
-        _, metrics = quick_testbed(
-            rate=1.0,
-            duration=20.0,
-            seed=0,
-            engine_config=EngineConfig(observer=observer),
-        )
-        return observer.selfprof, metrics
-
     def test_hot_path_sections_populated(self):
-        sp, metrics = self.run_profiled()
-        snap = sp.snapshot()
-        assert snap["requests_finished"] == metrics.n_finished
-        assert snap["requests_per_s"] > 0.0
-        for section in (
-            "engine.batch_formation",
-            "engine.link_load",
-            "engine.controller_tick",
-            "controller.poll",
-            "controller.refresh",
-        ):
-            assert section in snap["sections"], section
+        p, metrics = profiled_testbed_run()
+        assert metrics.n_finished > 0
+        sections = p.breakdown()
+        for section in ENGINE_SECTIONS:
+            assert section in sections, section
+        handlers = p.handlers()
         for tag in ("arrival", "prefill_done", "decode_iter"):
-            assert tag in snap["event_handlers"], tag
+            assert tag in handlers, tag
+
+    def test_run_totals_recorded(self):
+        """The event loop is one ``engine.run`` section plus two run
+        counters — what BENCH_engine derives its rates from."""
+        p, metrics = profiled_testbed_run()
+        run = p.breakdown()["engine.run"]
+        assert run.count == 1
+        counters = p.counters()
+        assert counters["engine.requests_finished"] == metrics.n_finished
+        assert counters["engine.events_fired"] > metrics.n_finished
+        # Handler time is a subset of the bracketing run wall-clock.
+        handler_s = sum(stat.total for stat in p.handlers().values())
+        assert 0.0 < handler_s <= run.total
 
     def test_profiled_run_byte_identical(self):
         """The throughput number prices the simulator, not telemetry —
         and the profiler must not perturb the simulation at all."""
-        _, profiled = self.run_profiled()
+        _, profiled = profiled_testbed_run()
         _, plain = quick_testbed(rate=1.0, duration=20.0, seed=0)
         assert json.dumps(
             profiled.summary(), sort_keys=True
         ) == json.dumps(plain.summary(), sort_keys=True)
 
-    def test_full_observer_carries_selfprof(self):
-        """Observer(selfprof=...) profiles an otherwise-observed run."""
-        sp = SelfProfiler()
-        observer = Observer(selfprof=sp)
-        _, metrics = quick_testbed(
-            rate=1.0,
-            duration=15.0,
-            seed=0,
-            engine_config=EngineConfig(observer=observer),
+    def test_full_observer_profiles_plan_and_engine(self):
+        """One ledger: planning and simulating under
+        ``Observer(profiler=p)`` leaves planner phases, engine sections
+        and handler tags all in ``p``."""
+        p = PhaseProfiler()
+        observer = Observer(profiler=p)
+        built = build_testbed()
+        bank = CostModelBank(OPT_66B, {"A100": A100, "V100": V100})
+        ctx = CommContext.from_built(built, heterogeneous=True)
+        trace = generate_sharegpt_trace(1.0, 15.0, make_rng(0))
+        report = OfflinePlanner(
+            ctx,
+            OPT_66B,
+            bank,
+            SLA_TESTBED_CHATBOT,
+            SchemeKind.HYBRID,
+            observer=observer,
+        ).plan(trace.representative_batch(8), arrival_rate=1.0)
+        system = ServingSystem(
+            spec=HEROSERVE,
+            built=built,
+            model=OPT_66B,
+            bank=bank,
+            sla=SLA_TESTBED_CHATBOT,
+            plan=report.plan,
+            plan_ctx=ctx,
         )
-        assert sp.requests_finished == metrics.n_finished
-        assert "engine.batch_formation" in sp.sections
+        metrics = simulate_trace(
+            system, trace, engine_config=EngineConfig(observer=observer)
+        )
+        assert metrics.n_finished > 0
+        sections = p.breakdown()
+        for name in (
+            "planner.candidates",
+            "planner.objective",
+            "grouping.kmeans",
+            *ENGINE_SECTIONS,
+        ):
+            assert name in sections, name
+        assert "decode_iter" in p.handlers()
+        assert p.counters()["engine.requests_finished"] == metrics.n_finished
 
 
 class TestSnapshotReportRoundTrip:
-    """The snapshot IS the bench file format — it must survive JSON and
-    the human-readable report must cover everything in it."""
+    """The snapshot feeds the bench file — it must survive JSON, and the
+    human-readable report must cover everything in it."""
 
-    def populated(self) -> SelfProfiler:
-        observer = SelfProfilingObserver()
-        quick_testbed(
-            rate=1.0,
-            duration=15.0,
-            seed=0,
-            engine_config=EngineConfig(observer=observer),
-        )
-        return observer.selfprof
+    def populated(self) -> PhaseProfiler:
+        return profiled_testbed_run(duration=15.0)[0]
 
     def test_snapshot_survives_json(self):
         snap = self.populated().snapshot()
         assert json.loads(json.dumps(snap)) == snap
 
     def test_report_names_every_snapshot_entry(self):
-        sp = self.populated()
-        snap = sp.snapshot()
-        text = sp.report()
-        for section in snap["sections"]:
-            assert section in text, section
-        for tag in snap["event_handlers"]:
-            assert tag in text, tag
-        # headline rates appear with the snapshot's values
-        assert f"{snap['requests_per_s']:,.0f}" in text
+        p = self.populated()
+        snap = p.snapshot()
+        text = p.report()
+        for table in ("phases", "handlers", "counters"):
+            assert snap[table], table
+            for name in snap[table]:
+                assert name in text, name
 
 
 class TestObserverHookParity:
     """Every hook the engine may call on a full :class:`Observer` must
-    exist on :class:`NullObserver` (and thus on
-    :class:`SelfProfilingObserver`) — a hook added to one but not the
+    exist on :class:`NullObserver` — a hook added to one but not the
     other crashes unobserved runs, the worst possible failure mode for
     an observability layer."""
 
@@ -201,15 +203,13 @@ class TestObserverHookParity:
         )
         assert not missing, missing
 
-    def test_selfprofiling_observer_is_a_null_observer(self):
-        obs = SelfProfilingObserver()
-        assert isinstance(obs, NullObserver)
+    def test_profile_only_observer_is_a_null_observer(self):
+        obs = profile_only_observer()
         assert obs.enabled is False  # engine stays on the no-op path
-        assert obs.selfprof is not None
-        missing = self.public_hooks(Observer) - self.public_hooks(
-            SelfProfilingObserver
-        )
-        assert not missing, missing
+        assert obs.profiler.enabled is True
+        # the shared class default is untouched
+        assert NullObserver.profiler.enabled is False
+        assert NullObserver().profiler is NullObserver.profiler
 
     def test_null_hooks_are_callable_no_ops(self):
         obs = NullObserver()
@@ -230,7 +230,9 @@ class TestObserverHookParity:
         obs.failover(0.0, 0, "d")
         obs.kv_retry(0.0, 1, 0.1)
         obs.requests_requeued(0.0, 1)
+        obs.route_decision(0.0, 1, 0, "jsq", "r")
+        obs.fleet_all_degraded(0.0, 2)
         obs.run_finished(0.0, None)
-        with obs.phase("x"):
+        with obs.profiler.phase("x"):
             pass
         obs.export()

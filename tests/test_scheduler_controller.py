@@ -4,7 +4,7 @@ import pytest
 
 from repro.comm import CommContext, SchemeKind
 from repro.core import CentralController, LoadAwareScheduler
-from repro.core.scheduler import rank_switches
+from repro.comm.scheme import rank_switches
 from repro.network import LinkLoadTracker, build_testbed
 
 
