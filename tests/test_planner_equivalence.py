@@ -32,6 +32,9 @@ SEEDS = [0, 1, 2, 7, 13]
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "data", "golden_scheme_parity.json"
 )
+ROWS_PATH = os.path.join(
+    os.path.dirname(__file__), "data", "golden_scheme_rows.json"
+)
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +141,17 @@ class TestGoldenSchemeParity:
         assert len(want) == 12
         for key, vals in want.items():
             assert now[key] == vals, f"{topo}/plans/{key} diverged"
+
+    @pytest.mark.parametrize("topo", ["testbed", "2tracks"])
+    def test_policy_rows_byte_identical(self, goldgen, topologies, topo):
+        with open(ROWS_PATH) as fh:
+            want = json.load(fh)["topologies"][topo]
+        now = goldgen._rows(topologies[topo])
+        for scheme, groups in want.items():
+            for group, rows in groups.items():
+                assert now[scheme][group] == rows, (
+                    f"{topo}/{scheme}/{group} policy rows diverged"
+                )
 
 
 class TestReplanInvalidation:
