@@ -15,7 +15,8 @@ import pytest
 from repro.baselines import HEROSERVE, build_system, simulate_trace
 from repro.comm import (
     CommContext,
-    hybrid_allreduce_time,
+    SchemeKind,
+    estimate_group_step,
     ina_allreduce_time,
     ring_allreduce_time,
     select_ina_switch,
@@ -129,7 +130,9 @@ def run_mode_envelope():
     for d in sizes:
         t_ina = ina_allreduce_time(ctx, group, sw, d)
         t_ring = ring_allreduce_time(ctx, group, d)
-        t_hyb = hybrid_allreduce_time(ctx, group, d)
+        t_hyb = estimate_group_step(
+            ctx, group, d, SchemeKind.HYBRID
+        ).step_time
         t_two = twostage_allreduce_time(ctx, group, d)
         t_tree = tree_allreduce_time(ctx, group, d)
         rows.append((d, t_ina, t_ring, t_hyb, t_two, t_tree))

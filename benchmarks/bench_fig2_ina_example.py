@@ -11,7 +11,8 @@ import pytest
 
 from repro.comm import (
     CommContext,
-    hybrid_allreduce_time,
+    SchemeKind,
+    estimate_group_step,
     ina_allreduce_time,
     ring_allreduce_time,
 )
@@ -45,7 +46,9 @@ def run_fig2() -> dict:
     t_ina_core = ina_allreduce_time(
         homo, group, core, DATA, pipelined=False
     )
-    t_hybrid = hybrid_allreduce_time(het, group, DATA)
+    t_hybrid = estimate_group_step(
+        het, group, DATA, SchemeKind.HYBRID
+    ).step_time
     t_ring = ring_allreduce_time(homo, group, DATA)
     return {
         "homo_path": t_homo_path,

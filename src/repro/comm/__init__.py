@@ -1,21 +1,20 @@
 """Collective-communication latency models: ring, INA, hybrid, pipeline."""
 
-from repro.comm.context import CommContext
+from repro.comm.context import CommContext, Route
 from repro.comm.hybrid import (
-    HybridDecision,
+    HybridRoute,
     elect_leader,
     group_by_server,
-    hybrid_allreduce_time,
-    hybrid_forced_time,
-    hybrid_link_footprint,
+    hybrid_routes,
     local_reduce_time,
-    plan_hybrid_allreduce,
 )
 from repro.comm.ina import (
+    InaRoute,
     ina_allreduce_time,
     ina_collection_time,
     ina_distribution_time,
     ina_link_footprint,
+    ina_route,
     ina_throughput_limit,
     select_ina_switch,
 )
@@ -38,15 +37,15 @@ from repro.comm.pipeline import (
     stage_boundary_time,
 )
 from repro.comm.ring import (
+    RingRoute,
     ring_allreduce_time,
     ring_bottleneck_bandwidth,
     ring_link_footprint,
     ring_order,
+    ring_route,
 )
 from repro.comm.scheme import (
     CollectiveScheme,
-    PolicySpec,
-    SchemeBinding,
     get_scheme,
     rank_switches,
     register_scheme,
@@ -55,26 +54,23 @@ from repro.comm.scheme import (
 
 # Importing these modules registers the extra collectives (ring-2stage
 # first, then tree) so every layer can resolve them through the registry.
-from repro.comm.twostage import (
-    twostage_allreduce_time,
-    twostage_link_footprint,
-)
-from repro.comm.tree import tree_allreduce_time, tree_link_footprint
+from repro.comm.twostage import TwoStageRoute, twostage_allreduce_time
+from repro.comm.tree import TreeRoute, tree_allreduce_time
 
 __all__ = [
     "CommContext",
-    "HybridDecision",
+    "Route",
+    "HybridRoute",
     "elect_leader",
     "group_by_server",
-    "hybrid_allreduce_time",
-    "hybrid_forced_time",
-    "hybrid_link_footprint",
+    "hybrid_routes",
     "local_reduce_time",
-    "plan_hybrid_allreduce",
+    "InaRoute",
     "ina_allreduce_time",
     "ina_collection_time",
     "ina_distribution_time",
     "ina_link_footprint",
+    "ina_route",
     "ina_throughput_limit",
     "select_ina_switch",
     "DEFAULT_N_SLOTS",
@@ -91,19 +87,19 @@ __all__ = [
     "pipeline_sync_time",
     "prefill_activation_bytes",
     "stage_boundary_time",
+    "RingRoute",
     "ring_allreduce_time",
     "ring_bottleneck_bandwidth",
     "ring_link_footprint",
     "ring_order",
+    "ring_route",
     "CollectiveScheme",
-    "PolicySpec",
-    "SchemeBinding",
     "get_scheme",
     "rank_switches",
     "register_scheme",
     "registered_schemes",
+    "TreeRoute",
     "tree_allreduce_time",
-    "tree_link_footprint",
+    "TwoStageRoute",
     "twostage_allreduce_time",
-    "twostage_link_footprint",
 ]

@@ -10,7 +10,7 @@ planner's view of an idle network).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,10 +38,13 @@ class CommContext:
     agg_latency: float = 1e-6
     heterogeneous: bool = True
     #: lazily-built ``(src, dst) -> link_id`` table of direct intra-server
-    #: GPU links (the first matching adjacency entry, matching
-    #: :meth:`_direct_nvlink`); topology is immutable after construction
-    #: so the table never goes stale.
+    #: GPU links (the first matching adjacency entry); topology is
+    #: immutable after construction so the table never goes stale.
     _direct_links: dict[tuple[int, int], int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: lazily-built capacity view of a live context (see :meth:`offline`)
+    _offline: "CommContext | None" = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -69,25 +72,21 @@ class CommContext:
             heterogeneous=heterogeneous,
         )
 
-    # -- NVLink direct shortcut -------------------------------------------
-
-    def _direct_nvlink(self, src: int, dst: int) -> int | None:
-        """Directed intra-server link id (NVLink/PCIe) for a co-located
-        GPU pair, else None."""
-        topo = self.built.topology
-        a, b = topo.nodes[src], topo.nodes[dst]
-        if not (a.is_gpu and b.is_gpu and a.server == b.server):
-            return None
-        for lid in topo.adj[src]:
-            link = topo.links[lid]
-            if link.dst == dst and link.kind in (
-                LinkKind.NVLINK,
-                LinkKind.PCIE,
-            ):
-                return lid
-        return None
-
     # -- bandwidth views -------------------------------------------------
+
+    def offline(self) -> "CommContext":
+        """The capacity view: same routes, no live link state.
+
+        This is the precomputed ``P``/``D`` of Algorithm 2. Route
+        resolution (switch ranking, leader election) reads it, so a
+        policy's route never moves with the load it is priced against.
+        """
+        if self.linkstate is None:
+            return self
+        if self._offline is None:
+            self._offline = replace(self, linkstate=None)
+            self._offline._direct_links = self._direct_link_table()
+        return self._offline
 
     def link_bandwidth(self, link_id: int) -> float:
         """Remaining bandwidth of a directed link (capacity if no tracker)."""
@@ -104,7 +103,7 @@ class CommContext:
         """
         if src == dst:
             return []
-        direct = self._direct_nvlink(src, dst)
+        direct = self._direct_link_table().get((src, dst))
         if direct is not None:
             return [direct]
         return self.route_table.link_path(src, dst)
@@ -143,8 +142,7 @@ class CommContext:
         """All direct intra-server GPU->GPU links, built once per context.
 
         One pass over every GPU's adjacency list; for each ``(src, dst)``
-        the *first* NVLink/PCIe entry wins, exactly as
-        :meth:`_direct_nvlink` resolves it.
+        the *first* NVLink/PCIe entry wins.
         """
         if self._direct_links is None:
             topo = self.built.topology
@@ -187,3 +185,30 @@ class CommContext:
             if t < dist[i, j]:
                 dist[i, j] = t
         return dist
+
+
+@dataclass
+class Route:
+    """One policy of a TP group, resolved once: its links and its price.
+
+    A scheme resolves a ``(mode, switch)`` into a route — switch choice,
+    leader election and member order are fixed then, on the offline
+    view for committed policies. ``links`` are the directed links the
+    policy occupies (load registration, Eq. 18 sharing); :meth:`time`
+    reads only the live ``B(e)`` of those links. Routes are values:
+    built once, never mutated (not frozen only because frozen
+    dataclasses are slow to build on the planner's hot path).
+    """
+
+    mode: str
+    #: aggregation switch the policy depends on (None for switchless)
+    switch: int | None
+    links: tuple[int, ...]
+
+    def time(self, ctx: CommContext, data_bytes: float) -> float:
+        """Latency of one all-reduce of ``data_bytes`` at ``ctx``'s view."""
+        raise NotImplementedError
+
+    def plan_time(self, ctx: CommContext, data_bytes: float) -> float:
+        """The Eq. 7 estimate's form of :meth:`time` (same by default)."""
+        return self.time(ctx, data_bytes)

@@ -12,9 +12,9 @@ back over NVLink. This
 * shortens the Ethernet path (aggregation at the *access* switch that
   leaders attach to, not a core switch).
 
-``hybrid_allreduce_time`` returns the three-stage makespan and the chosen
-Ethernet-stage mode; ``hybrid_link_footprint`` exposes the links used so
-the online scheduler can cost the policy.
+:func:`hybrid_routes` resolves such policies — leaders elected once,
+against their switch — into :class:`HybridRoute` objects whose links are
+the NVLink member↔leader legs plus the Ethernet stage's links.
 """
 
 from __future__ import annotations
@@ -22,17 +22,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.comm.context import CommContext
-from repro.comm.ina import (
-    ina_allreduce_time,
-    ina_link_footprint,
-    select_ina_switch,
-)
-from repro.comm.ring import (
-    ring_allreduce_time,
-    ring_link_footprint,
-    ring_order,
-)
+from repro.comm.context import CommContext, Route
+from repro.comm.ina import ina_route, select_ina_switch
+from repro.comm.ring import ring_route
 
 
 def group_by_server(
@@ -66,161 +58,91 @@ def local_reduce_time(
     return max(ctx.path_time(g, leader, data_bytes) for g in others)
 
 
-@dataclass(frozen=True)
-class HybridDecision:
-    """Outcome of planning one hybrid all-reduce."""
-
-    leaders: tuple[int, ...]
-    ethernet_mode: str           # "ina" | "ring" | "none"
-    ina_switch: int | None
-    stage1_time: float           # NVLink reduce to leaders
-    stage2_time: float           # Ethernet all-reduce among leaders
-    stage3_time: float           # NVLink broadcast from leaders
-
-    @property
-    def total_time(self) -> float:
-        return self.stage1_time + self.stage2_time + self.stage3_time
-
-
-def plan_hybrid_allreduce(
+def leader_legs(
     ctx: CommContext,
-    gpus: Sequence[int],
-    data_bytes: float,
-    ina_candidates: Sequence[int] | None = None,
-) -> HybridDecision:
-    """Plan the three-stage hybrid all-reduce and pick the Ethernet mode.
-
-    The Ethernet stage among leaders carries the **full** payload (it is a
-    sum of per-server partials, not a shard), aggregated by INA at the
-    best switch or by a leader ring — the cheaper of the two, mirroring
-    Algorithm 2's per-group ``getlatency`` mode selection.
-    """
-    if not gpus:
-        raise ValueError("empty GPU group")
-    by_server = group_by_server(ctx, gpus)
-    if len(by_server) == 1:
-        members = next(iter(by_server.values()))
-        leader = members[0]
-        # Single server: a pure-NVLink ring; no Ethernet stage at all.
-        t_local = ring_allreduce_time(ctx, members, data_bytes)
-        return HybridDecision(
-            leaders=(leader,),
-            ethernet_mode="none",
-            ina_switch=None,
-            stage1_time=t_local,
-            stage2_time=0.0,
-            stage3_time=0.0,
-        )
-
-    # Choose the INA switch against provisional leaders (first member per
-    # server), then elect real leaders against that switch.
-    provisional = [members[0] for members in by_server.values()]
-    switch = select_ina_switch(ctx, provisional, ina_candidates)
-    leaders = tuple(
-        elect_leader(ctx, members, switch) for members in by_server.values()
-    )
-
-    stage1 = max(
-        local_reduce_time(ctx, members, leader, data_bytes)
-        for members, leader in zip(by_server.values(), leaders)
-    )
-    t_ina = ina_allreduce_time(ctx, leaders, switch, data_bytes)
-    t_ring = ring_allreduce_time(ctx, leaders, data_bytes)
-    if t_ina <= t_ring:
-        mode, stage2 = "ina", t_ina
-    else:
-        mode, stage2 = "ring", t_ring
-    stage3 = max(
-        local_reduce_time(ctx, members, leader, data_bytes)
-        for members, leader in zip(by_server.values(), leaders)
-    )
-    return HybridDecision(
-        leaders=leaders,
-        ethernet_mode=mode,
-        ina_switch=switch if mode == "ina" else None,
-        stage1_time=stage1,
-        stage2_time=stage2,
-        stage3_time=stage3,
-    )
-
-
-def hybrid_allreduce_time(
-    ctx: CommContext,
-    gpus: Sequence[int],
-    data_bytes: float,
-    ina_candidates: Sequence[int] | None = None,
-) -> float:
-    """Total makespan of the hybrid all-reduce (plan + sum of stages)."""
-    return plan_hybrid_allreduce(
-        ctx, gpus, data_bytes, ina_candidates
-    ).total_time
-
-
-def hybrid_forced_time(
-    ctx: CommContext,
-    gpus: Sequence[int],
-    data_bytes: float,
-    ethernet_mode: str,
-    switch: int | None = None,
-) -> float:
-    """Hybrid all-reduce with the Ethernet stage *fixed* (no re-selection).
-
-    Used by static executions that committed to a plan-time policy:
-    ``ethernet_mode`` is ``"ina"`` (aggregate leaders at ``switch``),
-    ``"ring"`` (leader ring) or ``"none"`` (single server, pure NVLink).
-    """
-    from repro.comm.ina import ina_allreduce_time, select_ina_switch
-    from repro.comm.ring import ring_allreduce_time
-
-    gpus = list(gpus)
-    if len(gpus) <= 1 or data_bytes <= 0:
-        return 0.0
-    by_server = group_by_server(ctx, gpus)
-    if ethernet_mode == "none" or len(by_server) == 1:
-        return ring_allreduce_time(ctx, gpus, data_bytes)
-    if switch is None:
-        provisional = [m[0] for m in by_server.values()]
-        switch = select_ina_switch(ctx, provisional)
-    leaders = [
-        elect_leader(ctx, members, switch)
-        for members in by_server.values()
-    ]
-    stage_local = max(
-        local_reduce_time(ctx, members, leader, data_bytes)
-        for members, leader in zip(by_server.values(), leaders)
-    )
-    if ethernet_mode == "ina":
-        stage2 = ina_allreduce_time(ctx, leaders, switch, data_bytes)
-    elif ethernet_mode == "ring":
-        stage2 = ring_allreduce_time(ctx, leaders, data_bytes)
-    else:
-        raise ValueError(f"unknown ethernet_mode {ethernet_mode!r}")
-    return 2.0 * stage_local + stage2
-
-
-def hybrid_link_footprint(
-    ctx: CommContext,
-    gpus: Sequence[int],
-    decision: HybridDecision,
-) -> list[int]:
-    """Directed links the planned hybrid collective traverses."""
+    servers: Sequence[Sequence[int]],
+    leaders: Sequence[int],
+) -> tuple[int, ...]:
+    """Directed member→leader and leader→member links of every server."""
     links: list[int] = []
-    by_server = group_by_server(ctx, gpus)
-    for members, leader in zip(by_server.values(), decision.leaders):
+    for members, leader in zip(servers, leaders):
         for g in members:
             if g != leader:
                 links.extend(ctx.path_links(g, leader))
                 links.extend(ctx.path_links(leader, g))
-    if decision.ethernet_mode == "ina" and decision.ina_switch is not None:
-        links.extend(
-            ina_link_footprint(ctx, list(decision.leaders), decision.ina_switch)
+    return tuple(links)
+
+
+@dataclass
+class HybridRoute(Route):
+    """NVLink reduce to leaders, an Ethernet stage, NVLink broadcast."""
+
+    servers: tuple[tuple[int, ...], ...]
+    leaders: tuple[int, ...]
+    #: the Ethernet stage among leaders: INA at ``switch`` or a ring
+    stage2: Route
+
+    def stages(self, ctx: CommContext, data_bytes: float) -> tuple[float, float]:
+        """NVLink reduce time (== the broadcast) and Ethernet stage time.
+
+        The Ethernet stage carries the **full** payload: it sums
+        per-server partials, not shards.
+        """
+        stage1 = max(
+            local_reduce_time(ctx, members, leader, data_bytes)
+            for members, leader in zip(self.servers, self.leaders)
         )
-    elif decision.ethernet_mode == "ring":
-        links.extend(
-            ring_link_footprint(
-                ctx,
-                list(decision.leaders),
-                order=ring_order(ctx, decision.leaders),
+        return stage1, self.stage2.time(ctx, data_bytes)
+
+    def time(self, ctx: CommContext, data_bytes: float) -> float:
+        stage1, stage2 = self.stages(ctx, data_bytes)
+        return 2.0 * stage1 + stage2
+
+    def plan_time(self, ctx: CommContext, data_bytes: float) -> float:
+        # The estimate sums the stages in execution order; equal to
+        # time() up to float rounding, and pinned in that form.
+        stage1, stage2 = self.stages(ctx, data_bytes)
+        return stage1 + stage2 + stage1
+
+
+def hybrid_routes(
+    ctx: CommContext,
+    servers: Sequence[Sequence[int]],
+    modes: Sequence[str],
+    switch: int | None = None,
+) -> list[HybridRoute]:
+    """Resolve multi-server hybrid policies that share one election.
+
+    ``servers`` are the group's members by server. A mode
+    ``"ina"``/``"hybrid-ina"`` aggregates the leaders at ``switch``;
+    ``"ring"``/``"hybrid-ring"`` runs a leader ring. Leaders are elected
+    against ``switch`` or, without one, against the switch Algorithm 2
+    selects for provisional leaders (first member per server).
+    """
+    servers = tuple(tuple(m) for m in servers)
+    if switch is None:
+        switch = select_ina_switch(ctx, [m[0] for m in servers])
+    leaders = tuple(elect_leader(ctx, m, switch) for m in servers)
+    legs = leader_legs(ctx, servers, leaders)
+    routes = []
+    for mode in modes:
+        ina = mode in ("ina", "hybrid-ina")
+        stage2 = (
+            ina_route(ctx, leaders, switch) if ina
+            else ring_route(ctx, leaders)
+        )
+        # Policy rows ("hybrid-*") list the Ethernet stage first, so
+        # their most-utilised-link tag breaks ties on the fabric; the
+        # estimate's legs-first order is pinned by the plan goldens.
+        rows_order = mode.startswith("hybrid-")
+        routes.append(
+            HybridRoute(
+                mode,
+                switch if ina else None,
+                stage2.links + legs if rows_order else legs + stage2.links,
+                servers,
+                leaders,
+                stage2,
             )
         )
-    return links
+    return routes

@@ -14,10 +14,11 @@ member latency.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.comm.context import CommContext
+from repro.comm.context import CommContext, Route
 from repro.switch.protocols import DEFAULT_RTT
 
 
@@ -135,3 +136,20 @@ def ina_link_footprint(
         links.extend(ctx.path_links(g, switch))
         links.extend(ctx.path_links(switch, g))
     return links
+
+
+@dataclass
+class InaRoute(Route):
+    """In-network aggregation of ``members`` at ``switch`` (Eq. 8)."""
+
+    members: tuple[int, ...]
+
+    def time(self, ctx: CommContext, data_bytes: float) -> float:
+        return ina_allreduce_time(ctx, self.members, self.switch, data_bytes)
+
+
+def ina_route(ctx: CommContext, gpus: Sequence[int], switch: int) -> InaRoute:
+    """Aggregation of ``gpus`` at ``switch``: collection + distribution."""
+    return InaRoute(
+        "ina", switch, tuple(ina_link_footprint(ctx, gpus, switch)), tuple(gpus)
+    )

@@ -29,8 +29,6 @@ from repro.comm.scheme import (  # noqa: F401  (compat re-exports)
     CollectiveScheme,
     GroupCommEstimate,
     SchemeKind,
-    _atp_cost_factor,
-    _window_cap_time,
     get_scheme,
 )
 from repro.llm.models import ModelConfig

@@ -15,8 +15,9 @@ is why homogeneous-network rings lose to INA in Section II-C.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from dataclasses import dataclass
 
-from repro.comm.context import CommContext
+from repro.comm.context import CommContext, Route
 
 
 def ring_order(ctx: CommContext, gpus: Sequence[int]) -> list[int]:
@@ -90,3 +91,23 @@ def ring_link_footprint(
     for u, v in zip(members, members[1:] + members[:1]):
         links.extend(ctx.path_links(u, v))
     return links
+
+
+@dataclass
+class RingRoute(Route):
+    """A ring all-reduce over ``members`` in their fixed order."""
+
+    members: tuple[int, ...]
+
+    def time(self, ctx: CommContext, data_bytes: float) -> float:
+        return ring_allreduce_time(
+            ctx, self.members, data_bytes, order=self.members
+        )
+
+
+def ring_route(ctx: CommContext, gpus: Sequence[int]) -> RingRoute:
+    """The plain ring over ``gpus`` (Eq. 7's ``beta`` alternative)."""
+    order = tuple(ring_order(ctx, gpus))
+    return RingRoute(
+        "ring", None, tuple(ring_link_footprint(ctx, order, order)), order
+    )

@@ -22,17 +22,12 @@ hit server-adjacent partners. One file, one registration — see
 
 from __future__ import annotations
 
-from repro.comm.context import CommContext
-from repro.comm.ring import (
-    ring_allreduce_time,
-    ring_link_footprint,
-    ring_order,
-)
+from dataclasses import dataclass
+
+from repro.comm.context import CommContext, Route
+from repro.comm.ring import ring_order
 from repro.comm.scheme import (
     CollectiveScheme,
-    GroupCommEstimate,
-    PolicySpec,
-    SchemeBinding,
     SchemeKind,
     register_scheme,
 )
@@ -83,88 +78,50 @@ def tree_allreduce_time(
     return pre + 2.0 * halving + post
 
 
-def tree_link_footprint(
-    ctx: CommContext, gpus: list[int]
-) -> tuple[int, ...]:
-    """Every directed link any halving/doubling exchange traverses."""
-    gpus = list(gpus)
-    if len(gpus) < 2:
-        return ()
-    members, p2 = _split(ctx, gpus)
-    links: list[int] = []
-    for i in range(len(members) - p2):
-        links.extend(ctx.path_links(members[p2 + i], members[i]))
-        links.extend(ctx.path_links(members[i], members[p2 + i]))
-    core = members[:p2]
-    dist = 1
-    while dist < p2:
-        for i in range(p2):
-            links.extend(ctx.path_links(core[i], core[i ^ dist]))
-        dist <<= 1
-    return tuple(links)
+@dataclass
+class TreeRoute(Route):
+    """Halving-doubling over ``members`` (server-major pairing)."""
 
+    members: tuple[int, ...]
 
-class _TreeBinding(SchemeBinding):
-    def _specs(self, switches):
-        return [
-            PolicySpec(
-                self.scheme.policy_key("tree"),
-                "tree",
-                None,
-                tree_link_footprint(self.ctx, self.gpus),
-            ),
-            self._ring_spec(),
-        ]
-
-    def _time(self, mode, switch, data_bytes):
-        if mode == "tree":
-            return tree_allreduce_time(self.ctx, self.gpus, data_bytes)
-        return super()._time(mode, switch, data_bytes)
+    def time(self, ctx: CommContext, data_bytes: float) -> float:
+        return tree_allreduce_time(ctx, list(self.members), data_bytes)
 
 
 class TreeScheme(CollectiveScheme):
     """Recursive halving-doubling over Ethernet (``tree``)."""
 
     kind = SchemeKind.TREE
-    binding_class = _TreeBinding
 
-    def _estimate(
-        self, ctx, gpus, data_bytes, t_ring, ring_links,
-        n_slots, slot_payload, contention,
-    ):
-        t_tree = tree_allreduce_time(ctx, gpus, data_bytes)
-        if t_tree <= t_ring:
-            return GroupCommEstimate(
-                self.kind,
-                "tree",
-                None,
-                t_tree,
-                tree_link_footprint(ctx, gpus),
-            )
-        return GroupCommEstimate(self.kind, "ring", None, t_ring, ring_links)
+    def _resolve(self, view, gpus, mode, switch):
+        if mode != "tree":
+            return super()._resolve(view, gpus, mode, switch)
+        # Every directed link any halving/doubling exchange traverses.
+        members, p2 = _split(view, gpus)
+        links: list[int] = []
+        for i in range(len(members) - p2):
+            links.extend(view.path_links(members[p2 + i], members[i]))
+            links.extend(view.path_links(members[i], members[p2 + i]))
+        core = members[:p2]
+        dist = 1
+        while dist < p2:
+            for i in range(p2):
+                links.extend(view.path_links(core[i], core[i ^ dist]))
+            dist <<= 1
+        return TreeRoute(mode, None, tuple(links), tuple(gpus))
 
-    def _forced(
-        self, ctx, gpus, mode, switch, data_bytes,
-        n_slots, slot_payload, contention,
-    ):
-        if mode == "tree":
-            return tree_allreduce_time(ctx, gpus, data_bytes)
-        if mode in ("ring", "none"):
-            return ring_allreduce_time(ctx, gpus, data_bytes)
-        raise ValueError(f"tree scheme cannot price mode {mode!r}")
+    def _candidates(self, view, gpus):
+        return [self._resolve(view, gpus, "tree", None)]
 
-    def link_footprint(self, ctx, gpus, mode="ring", switch=None):
-        gpus = list(gpus)
-        if mode == "tree":
-            return tree_link_footprint(ctx, gpus)
-        return tuple(ring_link_footprint(ctx, gpus))
+    def _policy_rows(self, view, gpus, switches):
+        return self._candidates(view, gpus)
 
 
 TREE_SCHEME = register_scheme(TreeScheme())
 
 __all__ = [
     "TREE_SCHEME",
+    "TreeRoute",
     "TreeScheme",
     "tree_allreduce_time",
-    "tree_link_footprint",
 ]

@@ -28,18 +28,13 @@ the ``DS-2Stage`` baseline's collective. See ``docs/COLLECTIVES.md``.
 
 from __future__ import annotations
 
-from repro.comm.context import CommContext
-from repro.comm.hybrid import group_by_server
-from repro.comm.ring import (
-    ring_allreduce_time,
-    ring_link_footprint,
-    ring_order,
-)
+from dataclasses import dataclass
+
+from repro.comm.context import CommContext, Route
+from repro.comm.hybrid import group_by_server, leader_legs
+from repro.comm.ring import ring_allreduce_time, ring_order, ring_route
 from repro.comm.scheme import (
     CollectiveScheme,
-    GroupCommEstimate,
-    PolicySpec,
-    SchemeBinding,
     SchemeKind,
     register_scheme,
 )
@@ -82,52 +77,14 @@ def twostage_allreduce_time(
     return 2.0 * stage_local + stage_ring
 
 
-def twostage_link_footprint(
-    ctx: CommContext, gpus: list[int]
-) -> tuple[int, ...]:
-    """NVLink member↔leader legs plus the leaders' Ethernet ring."""
-    gpus = list(gpus)
-    by_server = group_by_server(ctx, gpus)
-    if len(by_server) == 1:
-        return tuple(
-            ring_link_footprint(ctx, gpus, order=ring_order(ctx, gpus))
-        )
-    links: list[int] = []
-    for members in by_server.values():
-        leader = members[0]
-        for g in members:
-            if g != leader:
-                links.extend(ctx.path_links(g, leader))
-                links.extend(ctx.path_links(leader, g))
-    links.extend(ring_link_footprint(ctx, _leaders(ctx, gpus)))
-    return tuple(links)
+@dataclass
+class TwoStageRoute(Route):
+    """The two-stage all-reduce over ``members`` (static leaders)."""
 
+    members: tuple[int, ...]
 
-class _TwoStageBinding(SchemeBinding):
-    def _specs(self, switches):
-        ctx, gpus = self.ctx, self.gpus
-        if len(group_by_server(ctx, gpus)) > 1:
-            specs = [
-                PolicySpec(
-                    self.scheme.policy_key("2stage"),
-                    "2stage",
-                    None,
-                    twostage_link_footprint(ctx, gpus),
-                )
-            ]
-        else:
-            specs = [
-                PolicySpec(
-                    self.scheme.policy_key("nvlink"), "nvlink", None, ()
-                )
-            ]
-        specs.append(self._ring_spec())
-        return specs
-
-    def _time(self, mode, switch, data_bytes):
-        if mode in ("2stage", "nvlink"):
-            return twostage_allreduce_time(self.ctx, self.gpus, data_bytes)
-        return super()._time(mode, switch, data_bytes)
+    def time(self, ctx: CommContext, data_bytes: float) -> float:
+        return twostage_allreduce_time(ctx, list(self.members), data_bytes)
 
 
 class TwoStageScheme(CollectiveScheme):
@@ -135,48 +92,41 @@ class TwoStageScheme(CollectiveScheme):
 
     kind = SchemeKind.RING_2STAGE
     heterogeneous = True
-    binding_class = _TwoStageBinding
 
-    def _estimate(
-        self, ctx, gpus, data_bytes, t_ring, ring_links,
-        n_slots, slot_payload, contention,
-    ):
-        t_2stage = twostage_allreduce_time(ctx, gpus, data_bytes)
-        if t_2stage <= t_ring:
-            mode = (
-                "none" if len(group_by_server(ctx, gpus)) == 1 else "2stage"
-            )
-            return GroupCommEstimate(
-                self.kind,
-                mode,
-                None,
-                t_2stage,
-                twostage_link_footprint(ctx, gpus),
-            )
-        return GroupCommEstimate(self.kind, "ring", None, t_ring, ring_links)
+    def _resolve(self, view, gpus, mode, switch):
+        if mode == "nvlink":
+            # Policy row of a one-server group: registers no links.
+            return TwoStageRoute(mode, None, (), tuple(gpus))
+        if mode in ("2stage", "none"):
+            servers = list(group_by_server(view, gpus).values())
+            if len(servers) == 1:
+                links = ring_route(view, gpus).links
+            else:
+                # NVLink member↔leader legs plus the leaders' ring.
+                leaders = [m[0] for m in servers]
+                links = (
+                    leader_legs(view, servers, leaders)
+                    + ring_route(view, leaders).links
+                )
+            return TwoStageRoute(mode, None, links, tuple(gpus))
+        return super()._resolve(view, gpus, mode, switch)
 
-    def _forced(
-        self, ctx, gpus, mode, switch, data_bytes,
-        n_slots, slot_payload, contention,
-    ):
-        if mode in ("2stage", "none", "nvlink"):
-            return twostage_allreduce_time(ctx, gpus, data_bytes)
-        if mode == "ring":
-            return ring_allreduce_time(ctx, gpus, data_bytes)
-        raise ValueError(f"ring-2stage cannot price mode {mode!r}")
+    def _candidates(self, view, gpus):
+        one_server = len(group_by_server(view, gpus)) == 1
+        mode = "none" if one_server else "2stage"
+        return [self._resolve(view, gpus, mode, None)]
 
-    def link_footprint(self, ctx, gpus, mode="ring", switch=None):
-        gpus = list(gpus)
-        if mode == "ring":
-            return tuple(ring_link_footprint(ctx, gpus))
-        return twostage_link_footprint(ctx, gpus)
+    def _policy_rows(self, view, gpus, switches):
+        one_server = len(group_by_server(view, gpus)) == 1
+        mode = "nvlink" if one_server else "2stage"
+        return [self._resolve(view, gpus, mode, None)]
 
 
 TWOSTAGE_SCHEME = register_scheme(TwoStageScheme())
 
 __all__ = [
     "TWOSTAGE_SCHEME",
+    "TwoStageRoute",
     "TwoStageScheme",
     "twostage_allreduce_time",
-    "twostage_link_footprint",
 ]

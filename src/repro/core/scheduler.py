@@ -1,9 +1,9 @@
 """Load-aware online scheduler (paper §III-D).
 
 One :class:`LoadAwareScheduler` exists per tensor-parallel GPU group. At
-construction it asks the group's :class:`~repro.comm.scheme.SchemeBinding`
-(from the CollectiveScheme registry) to enumerate the candidate
-*policies* — the rows of the Fig. 5 policy selection table:
+construction it asks the group's scheme (from the CollectiveScheme
+registry) for its policy routes — the rows of the Fig. 5 policy
+selection table, each resolved once into the links it occupies:
 
 * for the hybrid (HeroServe) scheme: ``hybrid-ina`` via each of the
   ``n_switch_candidates`` nearest INA-capable switches, ``hybrid-ring``
@@ -16,7 +16,8 @@ construction it asks the group's :class:`~repro.comm.scheme.SchemeBinding`
 
 On every ncclAllreduce-equivalent call, :meth:`decide` consults the
 policy cost table (Eq. 16), applies the Eq. 17 virtual-utilisation
-updates, and prices the chosen route against the *live* link state — so
+updates, and prices the chosen row's route against the *live* link
+state of exactly the links it registers — so
 as links congest, traffic shifts between NVLink-offloaded and pure
 Ethernet routes, and across switches. The central controller refreshes
 ``b_c`` and the penalty matrix periodically (Eq. 18).
@@ -27,9 +28,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.comm.context import CommContext
+from repro.comm.context import CommContext, Route
 from repro.comm.scheme import (
-    SchemeBinding,
+    CollectiveScheme,
     SchemeKind,
     get_scheme,
     rank_switches,  # noqa: F401  (compat re-export)
@@ -78,54 +79,58 @@ class LoadAwareScheduler:
         primary = get_scheme(scheme)
         self.scheme = primary.kind
         self.observer = observer or NULL_OBSERVER
-        self._binding = primary.bind(ctx, self.gpus)
-        self._policy_binding: list[SchemeBinding] = []
-        policies = self._build_policies(n_switch_candidates, extra_schemes)
+        #: one route per policy row, indexed by ``policy_id``
+        self._routes: list[Route] = []
+        policies = self._build_policies(
+            primary, n_switch_candidates, extra_schemes
+        )
         self.table = PolicyCostTable(policies, window=window, gamma=gamma)
 
     # -- policy construction ------------------------------------------------
 
     def _build_policies(
-        self, n_switch_candidates: int, extra_schemes: Sequence[str]
+        self,
+        primary: CollectiveScheme,
+        n_switch_candidates: int,
+        extra_schemes: Sequence[str],
     ) -> list[Policy]:
         ctx = self.ctx
         policies: list[Policy] = []
         seen: set[str] = set()
-
-        def add_specs(binding: SchemeBinding) -> None:
-            for spec in binding.policy_specs(n_switch_candidates):
-                if spec.name in seen:
+        schemes = [primary]
+        if len(self.gpus) > 1:
+            schemes += [
+                s for s in map(get_scheme, extra_schemes)
+                if s.kind != primary.kind
+            ]
+        for scheme in schemes:
+            for route in scheme.policy_routes(
+                ctx, self.gpus, n_switch_candidates
+            ):
+                name = scheme.policy_key(route.mode, route.switch)
+                if name in seen:
                     continue
-                seen.add(spec.name)
-                self._policy_binding.append(binding)
+                seen.add(name)
+                self._routes.append(route)
                 policies.append(
                     Policy(
                         policy_id=len(policies),
-                        name=spec.name,
-                        mode=spec.mode,
-                        switch=spec.switch,
-                        links=spec.links,
+                        name=name,
+                        mode=route.mode,
+                        switch=route.switch,
+                        links=route.links,
                         bottleneck_capacity=_bottleneck_capacity(
-                            ctx, spec.links
+                            ctx, route.links
                         ),
                     )
                 )
-
-        add_specs(self._binding)
-        if len(self.gpus) > 1:
-            for extra in extra_schemes:
-                scheme = get_scheme(extra)
-                if scheme.kind == self.scheme:
-                    continue
-                add_specs(scheme.bind(ctx, self.gpus))
         return policies
 
     # -- pricing --------------------------------------------------------------
 
     def _estimate_time(self, policy: Policy, data_bytes: float) -> float:
         """Live latency of executing ``policy`` for ``data_bytes``."""
-        binding = self._policy_binding[policy.policy_id]
-        return binding.policy_time(policy.mode, policy.switch, data_bytes)
+        return self._routes[policy.policy_id].time(self.ctx, data_bytes)
 
     # -- public API -------------------------------------------------------------
 

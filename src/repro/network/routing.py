@@ -97,30 +97,6 @@ class RouteTable:
             out.append(best_lid)
         return out
 
-    def path_latency(self, src: int, dst: int, data_bytes: float) -> float:
-        """Latency of the precomputed path for an actual transfer size.
-
-        Sums ``hop_latency + data_bytes / B(e)`` over the path's links —
-        the paper's ``T_{k,a} = sum_n D / B(e_n)`` (Eq. 10 form).
-        """
-        if src == dst:
-            return 0.0
-        total = 0.0
-        for lid in self.link_path(src, dst):
-            link = self.topology.links[lid]
-            total += link.hop_latency + data_bytes / self.bandwidth[lid]
-        return total
-
-    def path_bottleneck(self, src: int, dst: int) -> float:
-        """Minimum remaining bandwidth along the precomputed path."""
-        if src == dst:
-            return float("inf")
-        return min(self.bandwidth[lid] for lid in self.link_path(src, dst))
-
-    def hops(self, src: int, dst: int) -> int:
-        """Number of links on the precomputed path."""
-        return 0 if src == dst else len(self.link_path(src, dst))
-
 
 def link_weights(
     topology: Topology,

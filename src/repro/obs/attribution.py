@@ -39,8 +39,8 @@ Components
 The congested-link detail comes from the engine's per-group decision
 records: the :class:`~repro.network.linkstate.LinkLoadTracker`
 utilisation argmax over the links the chosen
-:class:`~repro.comm.scheme.CollectiveScheme` policy's ``link_footprint``
-occupies — i.e. the contention the policy actually priced against.
+:class:`~repro.comm.scheme.CollectiveScheme` policy's route occupies —
+i.e. the contention the policy actually priced against.
 """
 
 from __future__ import annotations

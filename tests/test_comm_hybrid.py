@@ -4,17 +4,31 @@ import pytest
 
 from repro.comm import (
     CommContext,
+    HybridRoute,
+    SchemeKind,
     elect_leader,
+    estimate_group_step,
+    get_scheme,
     group_by_server,
-    hybrid_allreduce_time,
-    hybrid_link_footprint,
     ina_allreduce_time,
     local_reduce_time,
-    plan_hybrid_allreduce,
     ring_allreduce_time,
     select_ina_switch,
 )
 from repro.network import LinkKind, build_fig2_example, build_testbed
+
+HYBRID = get_scheme(SchemeKind.HYBRID)
+
+
+def hybrid_time(ctx, gpus, data):
+    """Eq. 7 step time of the hybrid scheme."""
+    return estimate_group_step(ctx, gpus, data, SchemeKind.HYBRID).step_time
+
+
+def planned_route(ctx, gpus, data):
+    """The route of the hybrid scheme's Eq. 7 choice."""
+    est = estimate_group_step(ctx, gpus, data, SchemeKind.HYBRID)
+    return est, HYBRID.route(ctx, gpus, est.mode, est.ina_switch)
 
 
 @pytest.fixture(scope="module")
@@ -54,17 +68,17 @@ class TestGrouping:
 
 class TestPlan:
     def test_single_server_pure_nvlink(self, hctx, tb):
-        decision = plan_hybrid_allreduce(hctx, tb.server_gpus[0], 1e6)
-        assert decision.ethernet_mode == "none"
-        assert decision.stage2_time == 0.0
-        assert decision.total_time < 50e-6
+        est, route = planned_route(hctx, tb.server_gpus[0], 1e6)
+        assert est.mode == "none"
+        assert not isinstance(route, HybridRoute)
+        assert est.step_time < 50e-6
 
     def test_multi_server_has_ethernet_stage(self, hctx, tb):
         g = tb.topology.gpu_ids()[:8]
-        decision = plan_hybrid_allreduce(hctx, g, 1e6)
-        assert decision.ethernet_mode in ("ina", "ring")
-        assert len(decision.leaders) == 2
-        assert decision.stage2_time > 0
+        est, route = planned_route(hctx, g, 1e6)
+        assert est.mode in ("ina", "ring")
+        assert len(route.leaders) == 2
+        assert route.stages(hctx, 1e6)[1] > 0
 
     def test_hybrid_beats_homogeneous_ina(self, tb):
         """The headline Fig. 2 claim: hybrid < homogeneous INA latency."""
@@ -73,12 +87,12 @@ class TestPlan:
         g = tb.topology.gpu_ids()[:8]
         sw = select_ina_switch(homo, g)
         t_homo = ina_allreduce_time(homo, g, sw, 1e6)
-        t_hyb = hybrid_allreduce_time(het, g, 1e6)
+        t_hyb = hybrid_time(het, g, 1e6)
         assert t_hyb < t_homo
 
     def test_hybrid_beats_ring(self, hctx, tb):
         g = tb.topology.gpu_ids()[:8]
-        assert hybrid_allreduce_time(hctx, g, 1e6) < ring_allreduce_time(
+        assert hybrid_time(hctx, g, 1e6) < ring_allreduce_time(
             hctx, g, 1e6
         )
 
@@ -99,21 +113,21 @@ class TestPlan:
 
     def test_empty_group_rejected(self, hctx):
         with pytest.raises(ValueError):
-            plan_hybrid_allreduce(hctx, [], 1e6)
+            hybrid_time(hctx, [], 1e6)
 
 
 class TestFootprint:
     def test_footprint_contains_nvlink_and_ethernet(self, hctx, tb):
         g = tb.topology.gpu_ids()[:8]
-        decision = plan_hybrid_allreduce(hctx, g, 1e6)
-        links = hybrid_link_footprint(hctx, g, decision)
-        kinds = {tb.topology.links[l].kind for l in links}
+        est, route = planned_route(hctx, g, 1e6)
+        assert est.links == route.links
+        kinds = {tb.topology.links[l].kind for l in route.links}
         assert LinkKind.NVLINK in kinds
         assert LinkKind.ETHERNET in kinds
 
     def test_single_server_footprint_nvlink_only(self, hctx, tb):
         g = tb.server_gpus[0]
-        decision = plan_hybrid_allreduce(hctx, g, 1e6)
-        links = hybrid_link_footprint(hctx, g, decision)
-        kinds = {tb.topology.links[l].kind for l in links}
+        est, route = planned_route(hctx, g, 1e6)
+        assert est.links == route.links
+        kinds = {tb.topology.links[l].kind for l in route.links}
         assert kinds <= {LinkKind.NVLINK}

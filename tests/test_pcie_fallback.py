@@ -15,7 +15,6 @@ from repro.comm import (
     CommContext,
     SchemeKind,
     estimate_group_step,
-    hybrid_allreduce_time,
 )
 from repro.network import (
     PCIE_GEN4_X16,
@@ -67,7 +66,7 @@ class TestPcieHybrid:
     def test_hybrid_works_over_pcie(self, pcie_tb):
         ctx = CommContext.from_built(pcie_tb, heterogeneous=True)
         g = pcie_tb.topology.gpu_ids()[:8]
-        t = hybrid_allreduce_time(ctx, g, 1e6)
+        t = estimate_group_step(ctx, g, 1e6, SchemeKind.HYBRID).step_time
         assert 0 < t < 1.0
 
     def test_hybrid_falls_back_to_ring_over_pcie(self, pcie_tb):

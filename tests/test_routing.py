@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.comm import CommContext
 from repro.network import (
+    BuiltTopology,
     LinkKind,
     Topology,
     build_route_table,
@@ -23,6 +25,12 @@ def testbed():
 @pytest.fixture(scope="module")
 def table(testbed):
     return build_route_table(testbed.topology)
+
+
+@pytest.fixture(scope="module")
+def ctx(testbed, table):
+    """The offline context over ``table``: path costs at capacity."""
+    return CommContext(built=testbed, route_table=table)
 
 
 class TestRouteTable:
@@ -51,25 +59,25 @@ class TestRouteTable:
         for a, b in zip(links, links[1:]):
             assert topo.links[a].dst == topo.links[b].src
 
-    def test_path_latency_matches_matrix(self, table, testbed):
+    def test_path_latency_matches_matrix(self, ctx, table, testbed):
         """Recosting at the selection size reproduces the Dijkstra value."""
         g = testbed.topology.gpu_ids()
-        lat = table.path_latency(g[0], g[12], table.selection_bytes)
+        lat = ctx.path_time(g[0], g[12], table.selection_bytes)
         assert lat == pytest.approx(table.latency[g[0], g[12]], rel=1e-9)
 
-    def test_path_latency_scales_with_bytes(self, table, testbed):
+    def test_path_latency_scales_with_bytes(self, ctx, testbed):
         g = testbed.topology.gpu_ids()
-        t1 = table.path_latency(g[0], g[12], 1e6)
-        t2 = table.path_latency(g[0], g[12], 2e6)
+        t1 = ctx.path_time(g[0], g[12], 1e6)
+        t2 = ctx.path_time(g[0], g[12], 2e6)
         assert t2 > t1
 
-    def test_hops_same_server_nvlink(self, table, testbed):
+    def test_hops_same_server_nvlink(self, ctx, testbed):
         g = testbed.topology.gpu_ids()
-        assert table.hops(g[0], g[1]) == 1
+        assert len(ctx.path_links(g[0], g[1])) == 1
 
-    def test_bottleneck_positive(self, table, testbed):
+    def test_bottleneck_positive(self, ctx, testbed):
         g = testbed.topology.gpu_ids()
-        assert table.path_bottleneck(g[0], g[12]) > 0
+        assert ctx.path_bottleneck(g[0], g[12]) > 0
 
     def test_triangle_inequality(self, table, testbed):
         """Shortest-path matrix must satisfy the triangle inequality."""
@@ -128,19 +136,27 @@ class TestProperties:
         t = Topology()
         sw = t.add_switch("s")
         gpus = []
+        server_gpus: dict[int, list[int]] = {}
         for s in range(n_servers):
-            server_gpus = [
+            server_gpus[s] = [
                 t.add_gpu(f"g{s}_{i}", s, units.gib(16))
                 for i in range(gpus_per)
             ]
-            for i, u in enumerate(server_gpus):
-                for v in server_gpus[i + 1 :]:
+            for i, u in enumerate(server_gpus[s]):
+                for v in server_gpus[s][i + 1 :]:
                     t.add_link(u, v, LinkKind.NVLINK, units.gbyte_per_s(300))
                 t.add_link(u, sw, LinkKind.ETHERNET, units.gbit_per_s(100))
-            gpus.extend(server_gpus)
-        table = build_route_table(t)
+            gpus.extend(server_gpus[s])
+        built = BuiltTopology(
+            topology=t,
+            gpu_models={g: "A100" for g in gpus},
+            server_gpus=server_gpus,
+            access_switches=[sw],
+            core_switches=[],
+        )
+        ctx = CommContext(built=built, route_table=build_route_table(t))
         a, b = gpus[0], gpus[-1]
-        t1 = table.path_latency(a, b, data)
-        t2 = table.path_latency(a, b, data * 2)
+        t1 = ctx.path_time(a, b, data)
+        t2 = ctx.path_time(a, b, data * 2)
         assert t1 > 0
         assert t2 >= t1

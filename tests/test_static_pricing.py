@@ -13,7 +13,6 @@ from repro.comm import (
     CommContext,
     SchemeKind,
     estimate_group_step,
-    hybrid_forced_time,
     price_group_step,
     ring_allreduce_time,
     select_ina_switch,
@@ -125,6 +124,10 @@ class TestStaticUnderCongestion:
         assert adaptive.step_time < static
 
 
+def hybrid_forced_time(ctx, gpus, data, mode, switch=None):
+    return price_group_step(ctx, gpus, SchemeKind.HYBRID, mode, switch, data)
+
+
 class TestHybridForced:
     def test_forced_ina_matches_components(self, het, tb):
         g = tb.topology.gpu_ids()[:8]
@@ -149,7 +152,7 @@ class TestHybridForced:
 
     def test_unknown_mode_rejected(self, het, tb):
         g = tb.topology.gpu_ids()[:8]
-        with pytest.raises(ValueError, match="ethernet_mode"):
+        with pytest.raises(ValueError, match="teleport"):
             hybrid_forced_time(het, g, 1e6, "teleport")
 
     def test_trivial(self, het, tb):

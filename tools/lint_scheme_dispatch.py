@@ -10,10 +10,10 @@ dispatch point for collective-communication behaviour. This check scans
    registry replaced. Plain attribute references (e.g. the
    ``SystemSpec`` constants naming their scheme) are data, not dispatch,
    and stay allowed.
-2. Direct calls to per-scheme latency primitives
-   (``*_allreduce_time``, ``hybrid_forced_time``,
-   ``plan_hybrid_allreduce``) — callers must go through
-   ``estimate_group_step`` / ``price_group_step`` / scheme bindings.
+2. Direct calls to per-scheme latency primitives (``*_allreduce_time``)
+   or link footprints (``*_link_footprint``) — callers must go through
+   ``estimate_group_step`` / ``price_group_step`` or a scheme's routes,
+   so a policy's price and its registered links come from one route.
 
 Exit status 0 when clean, 1 with a finding list otherwise. Wired into
 the CI lint job next to ruff.
@@ -32,12 +32,10 @@ EXCLUDED = os.path.join(SRC, "comm") + os.sep
 BANNED_CALLS = {
     "ring_allreduce_time",
     "ina_allreduce_time",
-    "hybrid_allreduce_time",
     "twostage_allreduce_time",
     "tree_allreduce_time",
-    "hybrid_forced_time",
-    "plan_hybrid_allreduce",
 }
+BANNED_SUFFIX = "_link_footprint"
 
 
 def _is_schemekind_member(node: ast.expr) -> bool:
@@ -83,11 +81,11 @@ class _Visitor(ast.NodeVisitor):
 
     def visit_Call(self, node: ast.Call) -> None:
         name = _call_name(node)
-        if name in BANNED_CALLS:
+        if name in BANNED_CALLS or (name or "").endswith(BANNED_SUFFIX):
             self._flag(
                 node,
                 f"direct call to {name}() — use estimate_group_step / "
-                "price_group_step or a SchemeBinding",
+                "price_group_step or a scheme's routes",
             )
         self.generic_visit(node)
 
@@ -116,7 +114,7 @@ def main() -> int:
             print(" ", f)
         return 1
     print("scheme-dispatch lint: OK (no SchemeKind ladders or direct "
-          "latency-primitive calls outside repro/comm/)")
+          "latency-primitive or footprint calls outside repro/comm/)")
     return 0
 
 
