@@ -94,18 +94,18 @@ class CommContext:
             return float(self.linkstate.available()[link_id])
         return self.built.topology.links[link_id].capacity
 
-    def path_links(self, src: int, dst: int) -> list[int]:
+    def path_links(self, src: int, dst: int) -> tuple[int, ...]:
         """Directed-link path from the offline route table.
 
         Co-located GPU pairs take their direct NVLink hop in both network
         views (NCCL always does); everything else follows the view's
-        Dijkstra table.
+        Dijkstra table. The tuple may be shared with other callers.
         """
         if src == dst:
-            return []
+            return ()
         direct = self._direct_link_table().get((src, dst))
         if direct is not None:
-            return [direct]
+            return (direct,)
         return self.route_table.link_path(src, dst)
 
     def path_time(self, src: int, dst: int, data_bytes: float) -> float:

@@ -12,9 +12,10 @@ memoizes three layers:
 1. **group-step estimates** (`Algorithm 2's ``getlatency``) keyed on the
    exact-order member tuple, payload, scheme and slot parameters,
 2. **GPU distance submatrices** keyed on the admissible-GPU tuple,
-3. **route-table path lookups** (``path_links``/``path_time``/
-   ``path_bottleneck``) via a :class:`_MemoPathContext` wrapper, so even
-   cache *misses* in layer 1 run fast.
+3. **offline path prices** (``path_time``/``path_bottleneck``) via a
+   :class:`_MemoPathContext` wrapper, so even cache *misses* in layer 1
+   run fast. The link paths under them are memoized by the route table
+   itself (:meth:`~repro.network.routing.RouteTable.link_path`).
 
 Key canonicalization is deliberately **order-preserving**: group
 membership tuples are *not* sorted. The HYBRID scheme's per-server
@@ -56,12 +57,12 @@ __all__ = ["EstimationCache"]
 
 
 class _MemoPathContext(CommContext):
-    """A :class:`CommContext` that memoizes route-table path lookups.
+    """A :class:`CommContext` that memoizes offline path prices.
 
     Valid only for offline contexts (``linkstate is None``): with no live
-    tracker, ``path_links``/``path_time``/``path_bottleneck`` are pure
-    functions of the immutable route table, so replaying a memoized
-    result is bitwise identical to recomputing it.
+    tracker, ``path_time``/``path_bottleneck`` are pure functions of the
+    immutable route table, so replaying a memoized result is bitwise
+    identical to recomputing it.
     """
 
     @classmethod
@@ -78,23 +79,13 @@ class _MemoPathContext(CommContext):
             agg_latency=base.agg_latency,
             heterogeneous=base.heterogeneous,
         )
-        obj._links_memo = {}
         obj._time_memo = {}
         obj._bneck_memo = {}
         return obj
 
     def clear(self) -> None:
-        self._links_memo.clear()
         self._time_memo.clear()
         self._bneck_memo.clear()
-
-    def path_links(self, src: int, dst: int) -> list[int]:
-        key = (src, dst)
-        hit = self._links_memo.get(key)
-        if hit is None:
-            hit = super().path_links(src, dst)
-            self._links_memo[key] = hit
-        return hit
 
     def path_time(self, src: int, dst: int, data_bytes: float) -> float:
         key = (src, dst, data_bytes)

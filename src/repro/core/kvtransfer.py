@@ -137,10 +137,10 @@ def kv_transfer_flows(
     prefill_stages: Sequence[Sequence[int]],
     decode_stages: Sequence[Sequence[int]],
     exclude_gpus: Collection[int] = (),
-) -> list[tuple[list[int], float]]:
+) -> list[tuple[tuple[int, ...], float]]:
     """(link path, bytes) for each KV transfer — for the flow simulator."""
     total_bytes = kv_bytes_per_token(model) * k_in
-    out: list[tuple[list[int], float]] = []
+    out: list[tuple[tuple[int, ...], float]] = []
     pairs = kv_pairings(
         prefill_stages, decode_stages, exclude_gpus=exclude_gpus
     )
@@ -157,7 +157,7 @@ def plan_kv_migration(
     tokens: int,
     src_stages: Sequence[Sequence[int]],
     dst_stages: Sequence[Sequence[int]],
-) -> tuple[float, list[tuple[list[int], float]], float]:
+) -> tuple[float, list[tuple[tuple[int, ...], float]], float]:
     """Model moving ``tokens`` of resident KV from one decode placement
     to another (a plan-transition migration).
 

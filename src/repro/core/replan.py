@@ -547,7 +547,7 @@ class OnlineReplanner:
         self._migrate_bytes = moved
         ls = eng.ctx.linkstate
         self._migrate_handles = [
-            ls.register(list(links), nbytes / duration)
+            ls.register(links, nbytes / duration)
             for links, nbytes in flows
             if links
         ]

@@ -11,6 +11,7 @@ consume them vectorised.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +55,10 @@ class LinkLoadTracker:
     #: degradation/reset, so caches keyed on this tracker's state (the
     #: planner's estimation cache) can detect staleness in O(1).
     version: int = field(default=0, init=False)
+    #: ``(version, B(e))`` of the last :meth:`available` read
+    _available: tuple[int, np.ndarray] | None = field(
+        default=None, init=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if not 0.0 < self.ewma_alpha <= 1.0:
@@ -65,7 +70,7 @@ class LinkLoadTracker:
 
     # -- registration ----------------------------------------------------
 
-    def register(self, link_ids: list[int] | np.ndarray, rate: float) -> int:
+    def register(self, link_ids: Sequence[int] | np.ndarray, rate: float) -> int:
         """Add ``rate`` bytes/s of sustained load on each link; returns handle."""
         if rate < 0:
             raise ValueError(f"rate must be >= 0, got {rate}")
@@ -220,25 +225,37 @@ class LinkLoadTracker:
         return self._load.copy()
 
     def available(self) -> np.ndarray:
-        """Remaining bandwidth ``B(e)`` per directed link (bytes/s)."""
+        """Remaining bandwidth ``B(e)`` per directed link (bytes/s).
+
+        One read-only array per tracker :attr:`version`, shared by every
+        reader of that version. A write builds a new array on the next
+        read and never touches the old one, so a held array is a
+        snapshot.
+        """
+        cached = self._available
+        if cached is not None and cached[0] == self.version:
+            return cached[1]
         floor = MIN_AVAILABLE_FRACTION * self._capacity
-        return np.maximum(self._capacity - self._load, floor)
+        avail = np.maximum(self._capacity - self._load, floor)
+        avail.flags.writeable = False
+        self._available = (self.version, avail)
+        return avail
 
     def utilization(self) -> np.ndarray:
         """Instantaneous ``load / capacity`` per directed link (can be >1)."""
         return self._load / self._capacity
 
-    def available_on(self, link_ids: list[int] | np.ndarray) -> np.ndarray:
+    def available_on(self, link_ids: Sequence[int] | np.ndarray) -> np.ndarray:
         """``B(e)`` restricted to the given links."""
         return self.available()[np.asarray(link_ids, dtype=np.int64)]
 
-    def path_bottleneck(self, link_ids: list[int]) -> float:
+    def path_bottleneck(self, link_ids: Sequence[int]) -> float:
         """``min_e B(e)`` over a path — the Eq. 11 denominator."""
         if not link_ids:
             return float("inf")
         return float(self.available_on(link_ids).min())
 
-    def path_max_utilization(self, link_ids: list[int]) -> float:
+    def path_max_utilization(self, link_ids: Sequence[int]) -> float:
         """``max_e load/C`` over a path — the policy cost base of §III-D."""
         if not link_ids:
             return 0.0

@@ -393,7 +393,7 @@ class ServingSimulator:
         with self._profiler.phase("engine.link_load"):
             for links, total_bytes in footprints:
                 rate = total_bytes / max(duration, 1e-9)
-                handles.append(ls.register(list(links), rate))
+                handles.append(ls.register(links, rate))
         return handles
 
     def _release(self, handles: list[int]) -> None:

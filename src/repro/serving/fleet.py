@@ -403,7 +403,7 @@ class ReplicaFleet:
         st.kv_fetch_wait_s += duration
         ls = self.ctx.linkstate
         handles = [
-            ls.register(list(links), nbytes / duration)
+            ls.register(links, nbytes / duration)
             for links, nbytes in flows
             if links
         ]

@@ -1,0 +1,314 @@
+"""Differential tests: each live-pricing fast path against its slow reference.
+
+The route-table link-path memo, the per-version ``available()`` array and
+the vectorised policy-table refresh must reproduce the scalar code they
+replace bit for bit, so every comparison here is exact equality.
+"""
+
+import functools
+import sys
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import Policy, PolicyCostTable
+from repro.network import (
+    LinkKind,
+    LinkLoadTracker,
+    build_route_table,
+    build_testbed,
+    build_xtracks_cluster,
+)
+from repro.network.linkstate import MIN_AVAILABLE_FRACTION
+
+BUILDERS = {
+    "testbed": build_testbed,
+    "xtracks-2x1": lambda: build_xtracks_cluster(2, n_units=1),
+    "xtracks-8x4": lambda: build_xtracks_cluster(8, n_units=4),
+}
+#: the heterogeneous view and the Ethernet-only view the baselines route on
+VIEWS = {"hetero": None, "ethernet": {LinkKind.NVLINK, LinkKind.PCIE}}
+
+
+@functools.cache
+def _built(topo: str):
+    return BUILDERS[topo]()
+
+
+def _table(topo: str, view: str):
+    return build_route_table(_built(topo).topology, exclude_kinds=VIEWS[view])
+
+
+@functools.cache
+def _warm_table(topo: str, view: str):
+    """A table shared across tests, so most lookups below are memo hits."""
+    return _table(topo, view)
+
+
+@functools.cache
+def _gpu_pairs(topo: str) -> tuple[tuple[int, int], ...]:
+    gpus = _built(topo).topology.gpu_ids()
+    return tuple((u, v) for u in gpus for v in gpus)
+
+
+@functools.cache
+def _switch_pairs(topo: str) -> tuple[tuple[int, int], ...]:
+    built = _built(topo)
+    switches = built.access_switches + built.core_switches
+    gpus = built.topology.gpu_ids()
+    return tuple((g, s) for g in gpus for s in switches) + tuple(
+        (s, g) for g in gpus for s in switches
+    )
+
+
+def _check_memo(topo: str, view: str, pairs) -> None:
+    warm = _warm_table(topo, view)
+    for u, v in reversed(pairs):
+        warm.link_path(u, v)
+    cold = _table(topo, view)
+    for u, v in pairs:
+        hit = warm.link_path(u, v)
+        assert type(hit) is tuple
+        assert warm.link_path(u, v) is hit
+        assert hit == cold.link_path(u, v)
+
+
+class TestLinkPathMemo:
+    @pytest.mark.parametrize("view", sorted(VIEWS))
+    @pytest.mark.parametrize("topo", ["testbed", "xtracks-2x1"])
+    def test_every_pair_matches_cold_walk(self, topo, view):
+        _check_memo(topo, view, _gpu_pairs(topo) + _switch_pairs(topo))
+
+    @pytest.mark.parametrize("view", sorted(VIEWS))
+    def test_scale_switch_pairs_match_cold_walk(self, view):
+        _check_memo("xtracks-8x4", view, _switch_pairs("xtracks-8x4"))
+
+    @pytest.mark.parametrize("view", sorted(VIEWS))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_scale_gpu_pairs_match_cold_walk(self, view, data):
+        # 512 GPUs make 262k GPU pairs, too many to walk cold twice in
+        # tier-1; sample them.
+        pairs = _gpu_pairs("xtracks-8x4")
+        idx = data.draw(
+            st.lists(st.integers(0, len(pairs) - 1), min_size=1, max_size=200)
+        )
+        _check_memo("xtracks-8x4", view, [pairs[i] for i in idx])
+
+    def test_threads_racing_on_cold_pairs_agree(self):
+        # The planner's estimation threads share one table: a duplicate
+        # miss must store the same tuple the other thread stored.
+        pairs = _gpu_pairs("xtracks-2x1") + _switch_pairs("xtracks-2x1")
+        reference = _table("xtracks-2x1", "hetero")
+        expect = {pair: reference.link_path(*pair) for pair in pairs}
+        shared = _table("xtracks-2x1", "hetero")
+        errors: list[tuple[int, int]] = []
+
+        def walk(order):
+            for u, v in order:
+                if shared.link_path(u, v) != expect[u, v]:
+                    errors.append((u, v))
+
+        orders = [pairs, pairs[::-1], pairs[1::2] + pairs[::2], pairs]
+        threads = [threading.Thread(target=walk, args=(o,)) for o in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert all(shared.link_path(*p) == expect[p] for p in pairs)
+
+    def test_trivial_path_is_empty_tuple(self):
+        assert _warm_table("testbed", "hetero").link_path(3, 3) == ()
+
+
+_OPS = st.one_of(
+    st.tuples(
+        st.just("register"),
+        st.lists(st.integers(0, 81), max_size=6),
+        st.floats(0.0, 2e10),
+    ),
+    st.tuples(st.just("release"), st.integers(0, 50)),
+    st.tuples(
+        st.just("set_link_factor"), st.integers(0, 81), st.floats(0.01, 1.0)
+    ),
+    st.tuples(
+        st.just("scale_links"),
+        st.lists(st.integers(0, 81), max_size=4),
+        st.floats(0.1, 4.0),
+    ),
+    st.tuples(st.just("reset")),
+)
+
+
+def _apply(tracker: LinkLoadTracker, handles: list[int], op) -> None:
+    kind = op[0]
+    if kind == "register":
+        handles.append(tracker.register(op[1], op[2]))
+    elif kind == "release" and handles:
+        tracker.release(handles.pop(op[1] % len(handles)))
+    elif kind == "set_link_factor":
+        tracker.set_link_factor(op[1], op[2])
+    elif kind == "scale_links":
+        tracker.scale_links(op[1], op[2])
+    elif kind == "reset":
+        tracker.reset()
+        handles.clear()
+
+
+class TestAvailableCache:
+    @settings(max_examples=60, deadline=None)
+    @given(ops=st.lists(_OPS, max_size=25))
+    def test_matches_recomputation(self, ops):
+        tracker = LinkLoadTracker(_built("testbed").topology)
+        assert tracker.topology.n_links == 82
+        handles: list[int] = []
+        for op in ops:
+            before = tracker.available()
+            snapshot = before.copy()
+            _apply(tracker, handles, op)
+            cap = tracker.capacity
+            expect = np.maximum(
+                cap - tracker.load(), MIN_AVAILABLE_FRACTION * cap
+            )
+            assert np.array_equal(tracker.available(), expect)
+            assert tracker.available() is tracker.available()
+            # an array read before a write stays what it was
+            assert np.array_equal(before, snapshot)
+
+    def test_cached_array_is_read_only(self):
+        tracker = LinkLoadTracker(_built("testbed").topology)
+        avail = tracker.available()
+        with pytest.raises(ValueError):
+            avail[0] = 1.0
+        tracker.register([0], 1e9)
+        with pytest.raises(ValueError):
+            tracker.available()[0] = 1.0
+
+
+class _ScalarTable(PolicyCostTable):
+    """The per-policy / per-pair loops the vectorised refresh replaced."""
+
+    def refresh_utilization(self, linkstate):
+        for i, p in enumerate(self.policies):
+            self.b[i] = (
+                linkstate.path_max_utilization(list(p.links))
+                if p.links
+                else 0.0
+            )
+
+    def refresh_penalties(self, linkstate):
+        n = len(self.policies)
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                w = self.sharing_ratio(linkstate, i, j)
+                self.f[i, j] = (1 - self.gamma) * self.f[i, j] + self.gamma * w
+
+
+def _policies(link_lists) -> list[Policy]:
+    return [
+        Policy(
+            policy_id=i,
+            name=f"p{i}",
+            mode="nvlink" if not links else "ring",
+            switch=None,
+            links=tuple(links),
+            bottleneck_capacity=12.5e9,
+        )
+        for i, links in enumerate(link_lists)
+    ]
+
+
+_TABLE_OPS = st.one_of(
+    st.tuples(st.just("select"), st.floats(0.0, 1e9)),
+    st.tuples(st.just("refresh")),
+    st.tuples(st.just("refresh_utilization")),
+    st.tuples(
+        st.just("register"),
+        st.lists(st.integers(0, 11), min_size=1, max_size=4),
+        st.floats(0.0, 2e10),
+    ),
+    st.tuples(st.just("release"), st.integers(0, 50)),
+)
+
+
+class TestVectorisedRefresh:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        # links 0..11, repeats allowed; the empty list is an nvlink policy
+        link_lists=st.lists(
+            st.lists(st.integers(0, 11), max_size=24), min_size=1, max_size=6
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        gamma=st.floats(0.05, 1.0),
+        ops=st.lists(_TABLE_OPS, max_size=30),
+    )
+    def test_matches_scalar_loops(self, link_lists, seed, gamma, ops):
+        tracker = LinkLoadTracker(_built("testbed").topology)
+        # A random load on every link, so B(e) values are not round and
+        # summing them in another order would change the last bits.
+        rates = np.random.default_rng(seed).uniform(0.0, 1e10, size=12)
+        for lid, rate in enumerate(rates):
+            tracker.register([lid], float(rate))
+        fast = PolicyCostTable(_policies(link_lists), gamma=gamma)
+        slow = _ScalarTable(_policies(link_lists), gamma=gamma)
+        assert np.array_equal(fast.f, slow.f)
+        handles: list[int] = []
+        for op in ops:
+            kind = op[0]
+            if kind == "select":
+                assert fast.select(op[1]) == slow.select(op[1])
+            elif kind == "refresh":
+                for t in (fast, slow):
+                    t.refresh_utilization(tracker)
+                    t.refresh_penalties(tracker)
+            elif kind == "refresh_utilization":
+                fast.refresh_utilization(tracker)
+                slow.refresh_utilization(tracker)
+            else:
+                _apply(tracker, handles, op)
+            assert np.array_equal(fast.b, slow.b)
+            assert np.array_equal(fast.f, slow.f)
+
+    def test_repeated_links_weigh_by_multiplicity(self):
+        tracker = LinkLoadTracker(_built("testbed").topology)
+        tracker.register([1], 0.5 * tracker.capacity[1])
+        fast = PolicyCostTable(_policies([(0, 1), (1, 1, 2), ()]))
+        slow = _ScalarTable(_policies([(0, 1), (1, 1, 2), ()]))
+        for t in (fast, slow):
+            t.refresh_utilization(tracker)
+            t.refresh_penalties(tracker)
+        assert np.array_equal(fast.b, slow.b)
+        assert np.array_equal(fast.f, slow.f)
+        # the nvlink policy shares nothing and measures zero
+        assert fast.b[2] == 0.0 and not fast.f[:, 2].any()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_long_rows_sum_left_to_right(self, seed):
+        # Rows longer than numpy's 8-way pairwise block: np.sum would
+        # round differently from the scalar loop's left-to-right sum.
+        # gamma=1 makes f equal to W, so no rounding step hides a change.
+        rng = np.random.default_rng(seed)
+        tracker = LinkLoadTracker(_built("testbed").topology)
+        for lid in range(24):
+            tracker.register([lid], float(rng.uniform(0.0, 1e10)))
+        lists = [
+            rng.integers(0, 24, size=rng.integers(16, 40)).tolist()
+            for _ in range(4)
+        ]
+        fast = PolicyCostTable(_policies(lists), gamma=1.0)
+        slow = _ScalarTable(_policies(lists), gamma=1.0)
+        for t in (fast, slow):
+            t.refresh_penalties(tracker)
+        assert np.array_equal(fast.f, slow.f)
