@@ -9,12 +9,13 @@ evaluations (``repro.core.estcache``), so each setting is timed three
 ways:
 
 * **cached**   — Algorithm 1 with the estimation cache (the default),
-* **pre-cache** — the same planner with ``use_cache=False`` on a route
-  table that walks the Dijkstra predecessors on every link-path lookup,
-  i.e. the code path before any path memo existed (the speedup
-  baseline; the route table's own link-path memo took over part of the
-  estimation cache's work, so ``use_cache=False`` alone no longer
-  measures the uncached planner),
+* **pre-cache** — the same planner with ``use_cache=False`` on a
+  context that prices every path by walking its hops, over a route table
+  that walks the Dijkstra predecessors on every link-path lookup, i.e.
+  the code path before any path memo existed (the speedup baseline; the
+  context's path-price memo and the route table's link-path memo took
+  over part of the estimation cache's work, so ``use_cache=False`` alone
+  no longer measures the uncached planner),
 * **sweep**    — the reference planner without any of the paper's
   heuristics (candidate sweep, sequential estimation, per-candidate
   Dijkstra).
@@ -26,7 +27,7 @@ machine-readable perf baseline: per-phase ms, cache hit rate, speedups)
 under ``benchmarks/results/``.
 """
 
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import pytest
 
@@ -65,13 +66,26 @@ class _ColdRouteTable(RouteTable):
         return self._walk_links(src, dst)
 
 
+class _ColdContext(CommContext):
+    """A context without the path-price memo: every price walks its hops."""
+
+    def path_time(self, src, dst, data_bytes):
+        return self._sum_hops(src, dst, data_bytes)
+
+    def path_bottleneck(self, src, dst):
+        return self._min_hop(src, dst)
+
+
+def _copy_as(cls, obj, **changes):
+    """A ``cls`` instance with ``obj``'s constructor fields, plus changes."""
+    kwargs = {f.name: getattr(obj, f.name) for f in fields(obj) if f.init}
+    return cls(**{**kwargs, **changes})
+
+
 def cold_routes(ctx):
-    """``ctx`` on a copy of its route table that never memoizes a path."""
-    table = ctx.route_table
-    cold = _ColdRouteTable(
-        **{f.name: getattr(table, f.name) for f in fields(table) if f.init}
-    )
-    return replace(ctx, route_table=cold)
+    """``ctx`` with no path memo: prices and link paths walk every time."""
+    cold = _copy_as(_ColdRouteTable, ctx.route_table)
+    return _copy_as(_ColdContext, ctx, route_table=cold)
 
 
 def plan_three_way(built, model, bank, batch):

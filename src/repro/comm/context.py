@@ -47,6 +47,11 @@ class CommContext:
     _offline: "CommContext | None" = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: a capacity view's path prices: ``(src, dst, data_bytes)`` keys
+    #: :meth:`path_time`, ``(src, dst)`` keys :meth:`path_bottleneck`
+    _prices: dict[tuple, float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def from_built(
@@ -112,8 +117,35 @@ class CommContext:
         """Per-hop additive transfer latency (paper Eq. 10 form).
 
         ``sum_e [hop_latency(e) + data_bytes / B(e)]`` along the offline
-        shortest path, with ``B`` live when a tracker is attached.
+        shortest path, with ``B`` live when a tracker is attached. A
+        capacity view prices each ``(src, dst, data_bytes)`` once: with
+        no tracker the price is a pure function of the immutable topology
+        and route table (Algorithm 2's offline ``D``), so a memo hit is
+        the recomputed float bit for bit.
         """
+        if self.linkstate is not None:
+            return self._sum_hops(src, dst, data_bytes)
+        key = (src, dst, data_bytes)
+        hit = self._prices.get(key)
+        if hit is None:
+            hit = self._prices[key] = self._sum_hops(src, dst, data_bytes)
+        return hit
+
+    def path_bottleneck(self, src: int, dst: int) -> float:
+        """``min_e B(e)`` along the offline shortest path.
+
+        Memoized in a capacity view, like :meth:`path_time`.
+        """
+        if self.linkstate is not None:
+            return self._min_hop(src, dst)
+        key = (src, dst)
+        hit = self._prices.get(key)
+        if hit is None:
+            hit = self._prices[key] = self._min_hop(src, dst)
+        return hit
+
+    def _sum_hops(self, src: int, dst: int, data_bytes: float) -> float:
+        """:meth:`path_time` without the memo: one pass over the hops."""
         if src == dst:
             return 0.0
         topo = self.built.topology
@@ -127,8 +159,8 @@ class CommContext:
             total += link.hop_latency + data_bytes / bw
         return total
 
-    def path_bottleneck(self, src: int, dst: int) -> float:
-        """``min_e B(e)`` along the offline shortest path."""
+    def _min_hop(self, src: int, dst: int) -> float:
+        """:meth:`path_bottleneck` without the memo."""
         links = self.path_links(src, dst)
         if not links:
             return float("inf")
@@ -161,27 +193,27 @@ class CommContext:
         return self._direct_links
 
     def gpu_distance_matrix(self, gpu_ids: list[int]) -> np.ndarray:
-        """Pairwise GPU latency matrix consistent with :meth:`path_time`.
+        """Pairwise GPU latency matrix at the capacity view.
 
         Starts from the view's Dijkstra latencies and overrides co-located
-        pairs with their direct NVLink hop (present in both views), so the
-        grouping heuristic always sees physical server locality. The
-        override walks the precomputed direct-link table instead of
-        scanning adjacency per pair, so the cost is O(n^2) numpy slicing
-        plus O(direct links), not an O(n^2) Python pair loop.
+        pairs with their direct NVLink hop (present in both views), priced
+        by :meth:`path_time`, so the grouping heuristic always sees
+        physical server locality. The override walks the precomputed
+        direct-link table instead of scanning adjacency per pair, so the
+        cost is O(n^2) numpy slicing plus O(direct links), not an O(n^2)
+        Python pair loop.
         """
         idx = np.asarray(gpu_ids, dtype=np.int64)
         dist = self.route_table.latency[np.ix_(idx, idx)].copy()
         sel = self.route_table.selection_bytes
-        topo = self.built.topology
+        view = self.offline()
         pos = {g: i for i, g in enumerate(gpu_ids)}
-        for (u, v), lid in self._direct_link_table().items():
+        for u, v in self._direct_link_table():
             i = pos.get(u)
             j = pos.get(v)
             if i is None or j is None or i == j:
                 continue
-            link = topo.links[lid]
-            t = link.hop_latency + sel / link.capacity
+            t = view.path_time(u, v, sel)
             if t < dist[i, j]:
                 dist[i, j] = t
         return dist

@@ -71,6 +71,19 @@ def ina_allreduce_time(
     return t_col + ctx.agg_latency + t_dis
 
 
+def switch_delay(ctx: CommContext, gpus: Sequence[int], switch: int) -> float:
+    """Algorithm 2's group delay at ``switch``.
+
+    The worst member's round-trip (collection + distribution) latency at
+    the route-selection size.
+    """
+    sel = ctx.route_table.selection_bytes
+    return max(
+        ctx.path_time(g, switch, sel) + ctx.path_time(switch, g, sel)
+        for g in gpus
+    )
+
+
 def select_ina_switch(
     ctx: CommContext,
     gpus: Sequence[int],
@@ -78,9 +91,8 @@ def select_ina_switch(
 ) -> int:
     """Algorithm 2 lines 6-8: the switch with the smallest group delay.
 
-    Scores each INA-capable candidate by the worst member's round-trip
-    (collection + distribution) latency at the route-selection size and
-    returns the argmin.
+    Scores each INA-capable candidate by :func:`switch_delay` and returns
+    the first minimum in candidate order.
     """
     if not gpus:
         raise ValueError("empty GPU group")
@@ -91,17 +103,7 @@ def select_ina_switch(
     )
     if not cands:
         raise ValueError("no INA-capable switches in topology")
-    sel_bytes = ctx.route_table.selection_bytes
-    best, best_t = cands[0], float("inf")
-    for sw in cands:
-        t = max(
-            ctx.path_time(g, sw, sel_bytes)
-            + ctx.path_time(sw, g, sel_bytes)
-            for g in gpus
-        )
-        if t < best_t:
-            best, best_t = sw, t
-    return best
+    return min(cands, key=lambda sw: switch_delay(ctx, gpus, sw))
 
 
 def ina_throughput_limit(

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 from repro.comm.context import CommContext, Route
 from repro.comm.hybrid import group_by_server, hybrid_routes, leader_legs
-from repro.comm.ina import InaRoute, ina_route, select_ina_switch
+from repro.comm.ina import InaRoute, ina_route, select_ina_switch, switch_delay
 from repro.comm.ring import RingRoute, ring_order, ring_route
 from repro.switch.protocols import ATP_FALLBACK_PENALTY, DEFAULT_RTT
 
@@ -114,18 +114,12 @@ def rank_switches(
     ctx: CommContext, gpus: Sequence[int], k: int
 ) -> list[int]:
     """The ``k`` INA-capable switches nearest to the group."""
-    sel = ctx.route_table.selection_bytes
-    cands = ctx.built.ina_capable_switches()
-
-    def score(sw: int) -> float:
-        return max(
-            ctx.path_time(g, sw, sel) + ctx.path_time(sw, g, sel)
-            for g in gpus
-        )
-
-    # Tie-break equal scores on the switch id so candidate order (and
+    # Tie-break equal delays on the switch id so candidate order (and
     # therefore policy enumeration) is deterministic across runs.
-    return sorted(cands, key=lambda sw: (score(sw), sw))[: max(1, k)]
+    return sorted(
+        ctx.built.ina_capable_switches(),
+        key=lambda sw: (switch_delay(ctx, gpus, sw), sw),
+    )[: max(1, k)]
 
 
 class CollectiveScheme(ABC):

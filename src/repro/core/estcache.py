@@ -7,15 +7,17 @@ re-derive identical distance submatrices, and every group evaluation
 re-walks the same offline shortest paths. All of those are *pure*
 functions of immutable inputs — the built topology, the offline route
 table, and the exact member tuple — so an :class:`EstimationCache`
-memoizes three layers:
+memoizes two layers:
 
 1. **group-step estimates** (`Algorithm 2's ``getlatency``) keyed on the
    exact-order member tuple, payload, scheme and slot parameters,
-2. **GPU distance submatrices** keyed on the admissible-GPU tuple,
-3. **offline path prices** (``path_time``/``path_bottleneck``) via a
-   :class:`_MemoPathContext` wrapper, so even cache *misses* in layer 1
-   run fast. The link paths under them are memoized by the route table
-   itself (:meth:`~repro.network.routing.RouteTable.link_path`).
+2. **GPU distance submatrices** keyed on the admissible-GPU tuple.
+
+Cache *misses* in layer 1 still run fast: a capacity-view
+:class:`~repro.comm.context.CommContext` memoizes its own offline path
+prices (``path_time``/``path_bottleneck``), and the route table memoizes
+the link paths under them
+(:meth:`~repro.network.routing.RouteTable.link_path`).
 
 Key canonicalization is deliberately **order-preserving**: group
 membership tuples are *not* sorted. The HYBRID scheme's per-server
@@ -56,54 +58,6 @@ from repro.comm.latency import (
 __all__ = ["EstimationCache"]
 
 
-class _MemoPathContext(CommContext):
-    """A :class:`CommContext` that memoizes offline path prices.
-
-    Valid only for offline contexts (``linkstate is None``): with no live
-    tracker, ``path_time``/``path_bottleneck`` are pure functions of the
-    immutable route table, so replaying a memoized result is bitwise
-    identical to recomputing it.
-    """
-
-    @classmethod
-    def wrap(cls, base: CommContext) -> "_MemoPathContext":
-        if base.linkstate is not None:
-            raise ValueError(
-                "_MemoPathContext requires an offline context "
-                "(linkstate is None)"
-            )
-        obj = cls(
-            built=base.built,
-            route_table=base.route_table,
-            linkstate=None,
-            agg_latency=base.agg_latency,
-            heterogeneous=base.heterogeneous,
-        )
-        obj._time_memo = {}
-        obj._bneck_memo = {}
-        return obj
-
-    def clear(self) -> None:
-        self._time_memo.clear()
-        self._bneck_memo.clear()
-
-    def path_time(self, src: int, dst: int, data_bytes: float) -> float:
-        key = (src, dst, data_bytes)
-        hit = self._time_memo.get(key)
-        if hit is None:
-            hit = super().path_time(src, dst, data_bytes)
-            self._time_memo[key] = hit
-        return hit
-
-    def path_bottleneck(self, src: int, dst: int) -> float:
-        key = (src, dst)
-        hit = self._bneck_memo.get(key)
-        if hit is None:
-            hit = super().path_bottleneck(src, dst)
-            self._bneck_memo[key] = hit
-        return hit
-
-
 class EstimationCache:
     """Memoized comm-latency evaluation over one offline context.
 
@@ -115,14 +69,9 @@ class EstimationCache:
     """
 
     def __init__(self, ctx: CommContext) -> None:
-        self.base = ctx
-        if ctx.linkstate is None:
-            #: evaluation context with memoized path lookups
-            self.ctx: CommContext = _MemoPathContext.wrap(ctx)
-        else:
-            # A live tracker makes path costs time-varying: evaluate on
-            # the raw context and rely on version-checked invalidation.
-            self.ctx = ctx
+        #: evaluation context; a capacity view memoizes its own path
+        #: prices, a live one relies on version-checked invalidation
+        self.ctx = ctx
         self._group_memo: dict[tuple, GroupCommEstimate] = {}
         self._dist_memo: dict[tuple[int, ...], np.ndarray] = {}
         self._lock = threading.Lock()
@@ -138,7 +87,7 @@ class EstimationCache:
     # -- staleness ---------------------------------------------------------
 
     def _maybe_invalidate(self) -> None:
-        ls = self.base.linkstate
+        ls = self.ctx.linkstate
         if ls is not None and ls.version != self._linkstate_version:
             self.invalidate()
 
@@ -147,10 +96,8 @@ class EstimationCache:
         with self._lock:
             self._group_memo.clear()
             self._dist_memo.clear()
-            if isinstance(self.ctx, _MemoPathContext):
-                self.ctx.clear()
             self.invalidations += 1
-            ls = self.base.linkstate
+            ls = self.ctx.linkstate
             self._linkstate_version = ls.version if ls is not None else None
 
     # -- memoized evaluations ---------------------------------------------

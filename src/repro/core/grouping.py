@@ -125,6 +125,7 @@ def swap_perturbation(
     max_rounds: int = 5,
     swaps_per_round: int | None = None,
     memoize: bool = False,
+    spare: Sequence[int] = (),
 ) -> tuple[list[list[int]], float, int]:
     """Algorithm 2 lines 12-22: random swaps kept iff the cost drops.
 
@@ -135,7 +136,9 @@ def swap_perturbation(
     Only the two swapped groups are ever re-evaluated; with ``memoize``
     previously-seen compositions are not re-evaluated at all (the rng
     draw sequence and accept/reject decisions are unchanged, so the
-    result is identical to the unmemoized run).
+    result is identical to the unmemoized run). A non-empty ``spare``
+    pool joins as a zero-cost last group, so swaps can trade a member
+    for idle hardware; it is never scored and not returned.
 
     Returns (groups, final_cost, rounds_used).
     """
@@ -145,9 +148,13 @@ def swap_perturbation(
     eval_cost = _memoized(cost_fn, memoize)
     groups = [list(g) for g in groups]
     costs = [eval_cost(g) for g in groups]
+    n_real = len(groups)
+    if spare:
+        groups.append(list(spare))
+        costs.append(0.0)
     n_groups = len(groups)
     if n_groups < 2:
-        return groups, sum(costs), 0
+        return groups[:n_real], sum(costs), 0
     if swaps_per_round is None:
         swaps_per_round = 4 * sum(len(g) for g in groups)
     rounds = 0
@@ -155,11 +162,14 @@ def swap_perturbation(
         improvement = False
         for _ in range(swaps_per_round):
             ga, gb = rng.choice(n_groups, size=2, replace=False)
+            if not groups[ga] or not groups[gb]:
+                continue
             ia = int(rng.integers(len(groups[ga])))
             ib = int(rng.integers(len(groups[gb])))
             a, b = groups[ga][ia], groups[gb][ib]
             groups[ga][ia], groups[gb][ib] = b, a
-            new_a, new_b = eval_cost(groups[ga]), eval_cost(groups[gb])
+            new_a = 0.0 if ga == n_real else eval_cost(groups[ga])
+            new_b = 0.0 if gb == n_real else eval_cost(groups[gb])
             if new_a + new_b < costs[ga] + costs[gb] - 1e-15:
                 costs[ga], costs[gb] = new_a, new_b
                 improvement = True
@@ -168,7 +178,7 @@ def swap_perturbation(
         rounds += 1
         if not improvement:
             break
-    return groups, float(sum(costs)), rounds
+    return groups[:n_real], float(sum(costs[:n_real])), rounds
 
 
 def group_gpus(
@@ -185,8 +195,8 @@ def group_gpus(
 ) -> list[list[int]]:
     """Full Algorithm 2 grouping: k-means-constrained + perturbation.
 
-    ``latency_matrix`` is indexed by *position* in ``gpu_ids`` (use
-    :func:`repro.network.routing.gpu_latency_submatrix`). ``cost_fn``
+    ``latency_matrix`` is indexed by *position* in ``gpu_ids`` (the
+    planner passes ``CommContext.gpu_distance_matrix``). ``cost_fn``
     scores a group given GPU *node ids*; the default is the worst
     intra-group latency. Returns groups of GPU node ids.
 
@@ -221,53 +231,8 @@ def group_gpus(
 
     if perturb:
         with profiler.phase("grouping.perturb"):
-            if spare:
-                idx_groups, _, _ = _swap_with_spare(
-                    idx_groups, spare, pos_cost, rng, max_rounds,
-                    memoize=memoize,
-                )
-            else:
-                idx_groups, _, _ = swap_perturbation(
-                    idx_groups, pos_cost, rng, max_rounds=max_rounds,
-                    memoize=memoize,
-                )
+            idx_groups, _, _ = swap_perturbation(
+                idx_groups, pos_cost, rng, max_rounds=max_rounds,
+                memoize=memoize, spare=spare,
+            )
     return [[gpu_ids[i] for i in g] for g in idx_groups]
-
-
-def _swap_with_spare(
-    groups: list[list[int]],
-    spare: list[int],
-    cost_fn: Callable[[Sequence[int]], float],
-    rng: np.random.Generator,
-    max_rounds: int,
-    memoize: bool = False,
-) -> tuple[list[list[int]], float, int]:
-    """Swap perturbation where the last group is a zero-cost spare pool."""
-    eval_cost = _memoized(cost_fn, memoize)
-    groups = [list(g) for g in groups] + [list(spare)]
-    spare_idx = len(groups) - 1
-    costs = [eval_cost(g) for g in groups[:-1]] + [0.0]
-    n_groups = len(groups)
-    swaps_per_round = 4 * sum(len(g) for g in groups)
-    rounds = 0
-    for _ in range(max_rounds):
-        improvement = False
-        for _ in range(swaps_per_round):
-            ga, gb = rng.choice(n_groups, size=2, replace=False)
-            if not groups[ga] or not groups[gb]:
-                continue
-            ia = int(rng.integers(len(groups[ga])))
-            ib = int(rng.integers(len(groups[gb])))
-            a, b = groups[ga][ia], groups[gb][ib]
-            groups[ga][ia], groups[gb][ib] = b, a
-            new_a = 0.0 if ga == spare_idx else eval_cost(groups[ga])
-            new_b = 0.0 if gb == spare_idx else eval_cost(groups[gb])
-            if new_a + new_b < costs[ga] + costs[gb] - 1e-15:
-                costs[ga], costs[gb] = new_a, new_b
-                improvement = True
-            else:
-                groups[ga][ia], groups[gb][ib] = a, b
-        rounds += 1
-        if not improvement:
-            break
-    return groups[:-1], float(sum(costs[:-1])), rounds

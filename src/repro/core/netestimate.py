@@ -33,7 +33,6 @@ from repro.comm.latency import (
 )
 from repro.core.grouping import group_gpus
 from repro.llm.models import ModelConfig
-from repro.network.routing import gpu_latency_submatrix
 from repro.obs.profile import NULL_PROFILER
 from repro.util.rng import make_rng
 

@@ -22,11 +22,7 @@ from repro.network.flows import (
     path_flow,
 )
 from repro.network.linkstate import LinkLoadTracker
-from repro.network.routing import (
-    RouteTable,
-    build_route_table,
-    gpu_latency_submatrix,
-)
+from repro.network.routing import RouteTable, build_route_table
 from repro.network.topology import LinkKind, Node, NodeKind, Topology
 
 __all__ = [
@@ -50,7 +46,6 @@ __all__ = [
     "LinkLoadTracker",
     "RouteTable",
     "build_route_table",
-    "gpu_latency_submatrix",
     "LinkKind",
     "Node",
     "NodeKind",

@@ -184,11 +184,3 @@ def build_route_table(
         selection_bytes=data_bytes,
         exclude_kinds=frozenset(exclude_kinds or ()),
     )
-
-
-def gpu_latency_submatrix(
-    table: RouteTable, gpu_ids: list[int]
-) -> np.ndarray:
-    """Dense ``(len(gpu_ids), len(gpu_ids))`` latency view for grouping."""
-    idx = np.asarray(gpu_ids, dtype=np.int64)
-    return table.latency[np.ix_(idx, idx)]

@@ -8,12 +8,14 @@ from repro.comm import (
     ina_collection_time,
     ina_link_footprint,
     ina_throughput_limit,
+    rank_switches,
     ring_allreduce_time,
     ring_bottleneck_bandwidth,
     ring_link_footprint,
     ring_order,
     select_ina_switch,
 )
+from repro.comm.ina import switch_delay
 from repro.network import LinkLoadTracker, build_fig2_example, build_testbed
 
 
@@ -115,6 +117,18 @@ class TestIna:
         g = f.server_gpus[0]  # both GPUs on server 0, behind access S2
         sw = select_ina_switch(c, g)
         assert sw == f.access_switches[0]  # not the core switch
+
+    def test_switch_ties_keep_each_rule(self, hctx, tb):
+        # Two GPUs of one server on different access switches: both
+        # switches price the group at the same delay.
+        g = tb.server_gpus[0][:2]
+        a, b = tb.access_switches
+        assert switch_delay(hctx, g, a) == switch_delay(hctx, g, b)
+        # selection keeps the first minimum in candidate order ...
+        assert select_ina_switch(hctx, g, candidates=[b, a]) == b
+        assert select_ina_switch(hctx, g, candidates=[a, b]) == a
+        # ... ranking breaks the tie on the switch id
+        assert rank_switches(hctx, g, 2) == sorted([a, b])
 
     def test_select_switch_no_candidates(self, ctx, tb):
         with pytest.raises(ValueError):

@@ -1,8 +1,9 @@
-"""Differential tests: each live-pricing fast path against its slow reference.
+"""Differential tests: each pricing fast path against its slow reference.
 
-The route-table link-path memo, the per-version ``available()`` array and
-the vectorised policy-table refresh must reproduce the scalar code they
-replace bit for bit, so every comparison here is exact equality.
+The route-table link-path memo, the capacity view's path-price memo, the
+per-version ``available()`` array and the vectorised policy-table refresh
+must reproduce the scalar code they replace bit for bit, so every
+comparison here is exact equality.
 """
 
 import functools
@@ -14,10 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.comm import CommContext
 from repro.core import Policy, PolicyCostTable
 from repro.network import (
     LinkKind,
     LinkLoadTracker,
+    build_fig2_example,
     build_route_table,
     build_testbed,
     build_xtracks_cluster,
@@ -28,6 +31,10 @@ BUILDERS = {
     "testbed": build_testbed,
     "xtracks-2x1": lambda: build_xtracks_cluster(2, n_units=1),
     "xtracks-8x4": lambda: build_xtracks_cluster(8, n_units=4),
+    "testbed-1track": lambda: build_testbed(tracks=1),
+    "xtracks-2x2": lambda: build_xtracks_cluster(2, n_units=2),
+    "xtracks-8x1": lambda: build_xtracks_cluster(8, n_units=1),
+    "fig2": build_fig2_example,
 }
 #: the heterogeneous view and the Ethernet-only view the baselines route on
 VIEWS = {"hetero": None, "ethernet": {LinkKind.NVLINK, LinkKind.PCIE}}
@@ -129,6 +136,99 @@ class TestLinkPathMemo:
 
     def test_trivial_path_is_empty_tuple(self):
         assert _warm_table("testbed", "hetero").link_path(3, 3) == ()
+
+
+def _ctx(topo: str, view: str, live: bool = False) -> CommContext:
+    """A fresh context over a fresh table; ``live`` attaches an idle tracker."""
+    built = _built(topo)
+    return CommContext(
+        built=built,
+        route_table=_table(topo, view),
+        linkstate=LinkLoadTracker(built.topology) if live else None,
+        heterogeneous=view == "hetero",
+    )
+
+
+def _check_prices(topo: str, view: str, pairs) -> None:
+    # An idle tracker prices every hop at exactly C(e), so the live
+    # loop is the memo-free reference. Both capacity views memoize: a
+    # context built without a tracker and the offline view of a live one.
+    reference = _ctx(topo, view, live=True)
+    sizes = (reference.route_table.selection_bytes, 3.7e7)
+    for memo in (_ctx(topo, view), _ctx(topo, view, live=True).offline()):
+        assert memo.linkstate is None
+        for _ in range(2):  # first lookup misses, the repeat hits
+            for u, v in pairs:
+                for size in sizes:
+                    assert memo.path_time(u, v, size) == reference.path_time(
+                        u, v, size
+                    )
+                assert memo.path_bottleneck(u, v) == reference.path_bottleneck(
+                    u, v
+                )
+
+
+class TestPathPriceMemo:
+    @pytest.mark.parametrize("view", sorted(VIEWS))
+    @pytest.mark.parametrize("topo", ["testbed", "xtracks-2x1"])
+    def test_every_pair_matches_idle_tracker(self, topo, view):
+        _check_prices(topo, view, _gpu_pairs(topo) + _switch_pairs(topo))
+
+    @pytest.mark.parametrize("view", sorted(VIEWS))
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_scale_pairs_match_idle_tracker(self, view, data):
+        pairs = _gpu_pairs("xtracks-8x4") + _switch_pairs("xtracks-8x4")
+        idx = data.draw(
+            st.lists(st.integers(0, len(pairs) - 1), min_size=1, max_size=200)
+        )
+        _check_prices("xtracks-8x4", view, [pairs[i] for i in idx])
+
+    def test_live_view_follows_load(self):
+        ctx = _ctx("testbed", "hetero", live=True)
+        g, sw = ctx.built.topology.gpu_ids()[0], ctx.built.access_switches[0]
+        size = ctx.route_table.selection_bytes
+        idle = ctx.path_time(g, sw, size)
+        links = list(ctx.path_links(g, sw))
+        ctx.linkstate.register(links, 0.5 * ctx.linkstate.capacity[links[0]])
+        assert ctx.path_time(g, sw, size) > idle
+        assert ctx.offline().path_time(g, sw, size) == idle
+
+    @pytest.mark.parametrize("view", sorted(VIEWS))
+    @pytest.mark.parametrize("topo", sorted(BUILDERS))
+    def test_selection_price_is_the_d_matrix(self, topo, view):
+        # Algorithm 2's offline D: pricing a GPU<->switch path at the
+        # route-selection size reads exactly the Dijkstra latency.
+        ctx = _ctx(topo, view)
+        sel = ctx.route_table.selection_bytes
+        latency = ctx.route_table.latency
+        for u, v in _switch_pairs(topo):
+            assert ctx.path_time(u, v, sel) == latency[u, v]
+
+
+def _check_distance_matrix(topo: str, view: str, gpus) -> None:
+    ctx = _ctx(topo, view)
+    sel = ctx.route_table.selection_bytes
+    dist = ctx.gpu_distance_matrix(gpus)
+    expect = [[ctx.path_time(u, v, sel) for v in gpus] for u in gpus]
+    assert np.array_equal(dist, np.array(expect))
+
+
+class TestDistanceMatrix:
+    @pytest.mark.parametrize("view", sorted(VIEWS))
+    @pytest.mark.parametrize("topo", ["testbed", "xtracks-2x1"])
+    def test_every_pair_is_its_path_price(self, topo, view):
+        _check_distance_matrix(topo, view, _built(topo).topology.gpu_ids())
+
+    @pytest.mark.parametrize("view", sorted(VIEWS))
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_scale_sample_is_its_path_price(self, view, data):
+        gpus = _built("xtracks-8x4").topology.gpu_ids()
+        sample = data.draw(
+            st.lists(st.sampled_from(gpus), min_size=1, max_size=160, unique=True)
+        )
+        _check_distance_matrix("xtracks-8x4", view, sample)
 
 
 _OPS = st.one_of(

@@ -104,6 +104,22 @@ class TestSwapPerturbation:
         )
         assert rounds == 0
 
+    def test_spare_pool_swaps_in_idle_members(self):
+        # The spare pool holds the cheaper members; it is never scored
+        # and not returned.
+        scored = []
+
+        def cost(g):
+            scored.append(tuple(g))
+            return float(sum(g))
+
+        groups, final, _ = swap_perturbation(
+            [[2, 3]], cost, make_rng(0), spare=[0, 1, 4]
+        )
+        assert [sorted(g) for g in groups] == [[0, 1]]
+        assert final == cost(groups[0])
+        assert all(len(g) == 2 for g in scored)
+
     def test_preserves_membership(self):
         d = two_cluster_dist(4)
         init = [[0, 1, 4, 5], [2, 3, 6, 7]]

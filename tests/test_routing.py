@@ -12,7 +12,6 @@ from repro.network import (
     Topology,
     build_route_table,
     build_testbed,
-    gpu_latency_submatrix,
 )
 from repro.util import units
 
@@ -116,12 +115,16 @@ class TestExcludeKinds:
         assert np.isfinite(homo.latency).all()
 
 
-class TestSubmatrix:
-    def test_gpu_latency_submatrix(self, table, testbed):
-        g = testbed.topology.gpu_ids()[:4]
-        sub = gpu_latency_submatrix(table, g)
-        assert sub.shape == (4, 4)
-        assert sub[0, 1] == table.latency[g[0], g[1]]
+class TestDistanceMatrix:
+    def test_gpu_distance_matrix(self, ctx, table, testbed):
+        first, second = (testbed.server_gpus[s] for s in (0, 1))
+        g = first[:2] + second[:2]
+        dist = ctx.gpu_distance_matrix(g)
+        assert dist.shape == (4, 4)
+        # a cross-server pair reads the route table's D entry
+        assert dist[0, 2] == table.latency[g[0], g[2]]
+        # a co-located pair takes its direct hop, never dearer than D
+        assert dist[0, 1] <= table.latency[g[0], g[1]]
 
 
 class TestProperties:
