@@ -17,7 +17,9 @@ derived from those here.
 Results land in ``engine_throughput.txt`` (tables) and
 ``BENCH_engine.json`` (the machine-readable perf baseline the CI
 perf-smoke job gates on: a >25 % drop in requests-simulated/sec on
-either topology fails the build). The ROADMAP's engine-vectorization
+either topology fails the build, and so does any change to a setting's
+``events_fired`` or ``requests_finished``, which are simulated counts
+and do not depend on the host). The ROADMAP's engine-vectorization
 work is measured against this file.
 """
 

@@ -52,6 +52,11 @@ class CommContext:
     _prices: dict[tuple, float] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    #: a live view's padded hop index per ``pairs`` tuple of
+    #: :meth:`path_times`: ``(link ids, hop mask, hop latencies)``
+    _hops: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def from_built(
@@ -143,6 +148,54 @@ class CommContext:
         if hit is None:
             hit = self._prices[key] = self._min_hop(src, dst)
         return hit
+
+    def path_times(
+        self,
+        pairs: tuple[tuple[int, int], ...],
+        data_bytes: float | np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`path_time` of every ``(src, dst)`` in ``pairs``.
+
+        ``data_bytes`` is one size for all pairs or one per pair. A live
+        view builds a padded ``pairs x hops`` link index on the first
+        call for a ``pairs`` tuple and then reads ``B(e)`` once per
+        call; the hops sum left to right with ``+0.0`` padding, so each
+        entry is :meth:`path_time`'s float bit for bit. A capacity view
+        builds no index (one per planner pair set would cost memory):
+        it prices each pair through its :meth:`path_time` memo.
+        """
+        if self.linkstate is None:
+            sizes = np.broadcast_to(data_bytes, len(pairs)).tolist()
+            return np.array(
+                [self.path_time(s, d, b) for (s, d), b in zip(pairs, sizes)]
+            )
+        hops = self._hops.get(pairs)
+        if hops is None:
+            hops = self._hops[pairs] = self._hop_index(pairs)
+        idx, mask, hop = hops
+        data = np.asarray(data_bytes)[..., None]
+        avail = self.linkstate.available()
+        per_hop = np.where(mask, hop + data / avail[idx], 0.0)
+        return per_hop.cumsum(-1)[:, -1]
+
+    def _hop_index(
+        self, pairs: tuple[tuple[int, int], ...]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Padded link ids, hop mask and hop latencies of ``pairs``."""
+        paths = [self.path_links(s, d) for s, d in pairs]
+        shape = (len(paths), max(1, max(map(len, paths), default=0)))
+        idx = np.zeros(shape, dtype=np.intp)
+        mask = np.zeros(shape, dtype=bool)
+        hop = np.zeros(shape)
+        links = self.built.topology.links
+        for row, path in enumerate(paths):
+            n = len(path)
+            idx[row, :n] = path
+            mask[row, :n] = True
+            hop[row, :n] = [links[lid].hop_latency for lid in path]
+        for arr in (idx, mask, hop):
+            arr.flags.writeable = False
+        return idx, mask, hop
 
     def _sum_hops(self, src: int, dst: int, data_bytes: float) -> float:
         """:meth:`path_time` without the memo: one pass over the hops."""

@@ -10,6 +10,7 @@ prefill, ``q * h`` for decode (one token per in-flight request).
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import product
 
 from repro.comm.context import CommContext
 from repro.llm.models import ModelConfig
@@ -24,10 +25,8 @@ def stage_boundary_time(
     """Eq. 6 for one boundary: best sender's worst receiver latency."""
     if not senders or not receivers:
         raise ValueError("both stages must be non-empty")
-    return min(
-        max(ctx.path_time(a, k, data_bytes) for k in receivers)
-        for a in senders
-    )
+    times = ctx.path_times(tuple(product(senders, receivers)), data_bytes)
+    return float(times.reshape(len(senders), len(receivers)).max(1).min())
 
 
 def prefill_activation_bytes(model: ModelConfig, k_in: int) -> int:

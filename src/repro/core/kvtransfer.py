@@ -15,7 +15,10 @@ overlaps ``ceil`` of the ratio of decode slices (the paper's
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Collection, Sequence
+
+import numpy as np
 
 from repro.comm.context import CommContext
 from repro.llm.memory import kv_bytes_per_token
@@ -51,12 +54,16 @@ def _repaired_decode_stages(
     return repaired
 
 
+def _stage_key(stages: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(tuple, stages))
+
+
 def kv_pairings(
     prefill_stages: Sequence[Sequence[int]],
     decode_stages: Sequence[Sequence[int]],
     exclude_gpus: Collection[int] = (),
-) -> list[tuple[int, int, float]]:
-    """(prefill_gpu, decode_gpu, share) transfer list.
+) -> tuple[tuple[int, int, float], ...]:
+    """(prefill_gpu, decode_gpu, share) transfers, in pairing order.
 
     ``share`` is the fraction of the *whole batch's* KV bytes that flows
     on that pair. Shares over all pairs sum to 1 (each KV byte moves
@@ -69,7 +76,24 @@ def kv_pairings(
     healthy GPU cannot absorb anything — the exclusion is ignored for
     that stage and the transfer targets the original owners (the caller
     must wait for recovery or replan instead).
+
+    The pairing is static: it is computed once per (prefill stages,
+    decode stages, exclusions) and the same tuple is returned after that.
     """
+    return _pairings(
+        _stage_key(prefill_stages),
+        _stage_key(decode_stages),
+        frozenset(exclude_gpus),
+    )
+
+
+@functools.lru_cache(maxsize=32)
+def _pairings(
+    prefill_stages: tuple[tuple[int, ...], ...],
+    decode_stages: tuple[tuple[int, ...], ...],
+    exclude_gpus: frozenset[int],
+) -> tuple[tuple[int, int, float], ...]:
+    """:func:`kv_pairings` on hashable stages, memoized."""
     if not prefill_stages or not decode_stages:
         raise ValueError("both phases need at least one stage")
     if exclude_gpus:
@@ -99,7 +123,36 @@ def kv_pairings(
                     pairs.append(
                         (pg, dg, layer_overlap * tensor_overlap)
                     )
-    return pairs
+    return tuple(pairs)
+
+
+@functools.lru_cache(maxsize=32)
+def _per_gpu_layout(
+    prefill_stages: tuple[tuple[int, ...], ...],
+    decode_stages: tuple[tuple[int, ...], ...],
+    exclude_gpus: frozenset[int],
+) -> tuple[tuple[tuple[int, int], ...], np.ndarray, np.ndarray, np.ndarray]:
+    """Eq. 14's static layout: ``(pairs, shares, rows, mask)``.
+
+    ``pairs`` are the ``(prefill, decode)`` GPUs of the pairing and
+    ``shares`` their byte shares. Row ``r`` of the padded ``rows`` index
+    holds, in pairing order, the positions of one prefill GPU's pairs;
+    ``mask`` marks the real entries.
+    """
+    pairing = _pairings(prefill_stages, decode_stages, exclude_gpus)
+    by_gpu: dict[int, list[int]] = {}
+    for i, (pg, _, _) in enumerate(pairing):
+        by_gpu.setdefault(pg, []).append(i)
+    shape = (len(by_gpu), max(map(len, by_gpu.values()), default=1))
+    rows = np.zeros(shape, dtype=np.intp)
+    mask = np.zeros(shape, dtype=bool)
+    for r, members in enumerate(by_gpu.values()):
+        rows[r, : len(members)] = members
+        mask[r, : len(members)] = True
+    shares = np.array([share for _, _, share in pairing])
+    for arr in (shares, rows, mask):
+        arr.flags.writeable = False
+    return tuple((pg, dg) for pg, dg, _ in pairing), shares, rows, mask
 
 
 def estimate_kv_transfer_time(
@@ -115,19 +168,22 @@ def estimate_kv_transfer_time(
     The batch's total KV volume is ``2 K_in L h`` elements; each pair's
     bytes are its share of that volume, costed along the offline route
     (Eq. 15's per-hop sum). A prefill GPU's transfers to distinct decode
-    GPUs are sequential on its NIC, hence summed.
+    GPUs are sequential on its NIC, hence summed, left to right in
+    pairing order.
     """
     if k_in <= 0:
         raise ValueError(f"k_in must be > 0, got {k_in}")
     total_bytes = kv_bytes_per_token(model) * k_in
-    per_gpu: dict[int, float] = {}
-    pairs = kv_pairings(
-        prefill_stages, decode_stages, exclude_gpus=exclude_gpus
+    pairs, shares, rows, mask = _per_gpu_layout(
+        _stage_key(prefill_stages),
+        _stage_key(decode_stages),
+        frozenset(exclude_gpus),
     )
-    for pg, dg, share in pairs:
-        t = ctx.path_time(pg, dg, total_bytes * share)
-        per_gpu[pg] = per_gpu.get(pg, 0.0) + t
-    return max(per_gpu.values()) if per_gpu else 0.0
+    if not pairs:
+        return 0.0
+    times = ctx.path_times(pairs, total_bytes * shares)
+    per_gpu = np.where(mask, times[rows], 0.0).cumsum(-1)[:, -1]
+    return float(per_gpu.max())
 
 
 def kv_transfer_flows(

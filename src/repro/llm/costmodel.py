@@ -201,10 +201,14 @@ class CostModelBank:
     def group_prefill_time(
         self, gpu_hardware: list[str], batch: BatchSpec, p_tens: int
     ) -> float:
-        """Slowest-member prefill latency for a TP group."""
+        """Slowest-member prefill latency for a TP group.
+
+        Priced once per distinct hardware model: members of one model
+        take the same time, and ``max`` does not depend on order.
+        """
         return max(
             self.for_hardware(hw).prefill_time(batch, p_tens)
-            for hw in gpu_hardware
+            for hw in dict.fromkeys(gpu_hardware)
         )
 
     def group_decode_time(
@@ -215,10 +219,14 @@ class CostModelBank:
         p_tens: int,
         p_pipe: int,
     ) -> float:
-        """Slowest-member decode-iteration latency for a TP group."""
+        """Slowest-member decode-iteration latency for a TP group.
+
+        Priced once per distinct hardware model, like
+        :meth:`group_prefill_time`.
+        """
         return max(
             self.for_hardware(hw).decode_time(
                 q, context_tokens, p_tens, p_pipe
             )
-            for hw in gpu_hardware
+            for hw in dict.fromkeys(gpu_hardware)
         )

@@ -1,8 +1,8 @@
 """Differential tests: each pricing fast path against its slow reference.
 
 The route-table link-path memo, the capacity view's path-price memo, the
-per-version ``available()`` array and the vectorised policy-table refresh
-must reproduce the scalar code they replace bit for bit, so every
+per-version ``available()`` array, the vectorised policy-table refresh and
+the batched live path prices of Eqs. 6 and 14 must reproduce the scalar code they replace bit for bit, so every
 comparison here is exact equality.
 """
 
@@ -15,8 +15,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.comm import CommContext
-from repro.core import Policy, PolicyCostTable
+from repro.comm import CommContext, SchemeKind, pipeline_sync_time
+from repro.core import (
+    SLA_TESTBED_CHATBOT,
+    Policy,
+    PolicyCostTable,
+    estimate_kv_transfer_time,
+    kv_pairings,
+)
+from repro.core.planner import OfflinePlanner, PlannerConfig
+from repro.llm import (
+    OPT_66B,
+    A100,
+    V100,
+    BatchSpec,
+    CostModelBank,
+    kv_bytes_per_token,
+)
 from repro.network import (
     LinkKind,
     LinkLoadTracker,
@@ -412,3 +427,183 @@ class TestVectorisedRefresh:
         for t in (fast, slow):
             t.refresh_penalties(tracker)
         assert np.array_equal(fast.f, slow.f)
+
+
+def _live_ops(n_links: int):
+    """Register/release/set_link_factor sequences over ``n_links`` links."""
+    link = st.integers(0, n_links - 1)
+    return st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("register"),
+                st.lists(link, min_size=1, max_size=6),
+                st.floats(0.0, 2e10),
+            ),
+            st.tuples(st.just("release"), st.integers(0, 50)),
+            st.tuples(st.just("set_link_factor"), link, st.floats(0.01, 1.0)),
+        ),
+        max_size=12,
+    )
+
+
+@functools.cache
+def _priced_pairs(topo: str) -> tuple[tuple[int, int], ...]:
+    """GPU<->GPU, GPU<->switch, co-located NVLink and self pairs."""
+    ctx = _ctx(topo, "hetero")
+    gpus = ctx.built.topology.gpu_ids()
+    return (
+        _gpu_pairs(topo)
+        + _switch_pairs(topo)
+        + tuple(ctx._direct_link_table())
+        + tuple((g, g) for g in gpus)
+    )
+
+
+def _check_path_times(ctx: CommContext, pairs, sizes) -> None:
+    fast = ctx.path_times(pairs, sizes)
+    per_pair = np.broadcast_to(sizes, len(pairs)).tolist()
+    slow = [ctx.path_time(u, v, b) for (u, v), b in zip(pairs, per_pair)]
+    assert fast.tolist() == slow
+
+
+class TestBatchedPathTimes:
+    @pytest.mark.parametrize("view", sorted(VIEWS))
+    @pytest.mark.parametrize("topo", sorted(BUILDERS))
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_live_matches_per_pair_path_time(self, topo, view, data):
+        every = _priced_pairs(topo)
+        picks = data.draw(
+            st.lists(st.integers(0, len(every) - 1), min_size=1, max_size=80)
+        )
+        pairs = tuple(every[i] for i in picks)
+        ctx = _ctx(topo, view, live=True)
+        sizes = np.array(
+            data.draw(
+                st.lists(
+                    st.floats(0.0, 1e10),
+                    min_size=len(pairs),
+                    max_size=len(pairs),
+                )
+            )
+        )
+        handles: list[int] = []
+        for op in data.draw(_live_ops(ctx.built.topology.n_links)):
+            _apply(ctx.linkstate, handles, op)
+            # the same tuple every time: the hop index is built once
+            _check_path_times(ctx, pairs, 3.7e7)
+            _check_path_times(ctx, pairs, sizes)
+        _check_path_times(ctx, pairs, 1024)
+        assert list(ctx._hops) == [pairs]
+
+    def test_self_and_nvlink_pairs(self):
+        ctx = _ctx("testbed", "ethernet", live=True)
+        direct = next(iter(ctx._direct_link_table()))
+        g = ctx.built.topology.gpu_ids()[0]
+        pairs = ((g, g), direct, (g, g))
+        ctx.linkstate.register(list(ctx.path_links(*direct)), 1e9)
+        times = ctx.path_times(pairs, 5e8)
+        assert times[0] == times[2] == 0.0
+        assert times[1] == ctx.path_time(*direct, 5e8) > 0.0
+        only_self = ((g, g),)
+        assert ctx.path_times(only_self, 5e8).tolist() == [0.0]
+
+    @pytest.mark.parametrize("live", [False, True])
+    def test_capacity_view_builds_no_index(self, live):
+        ctx = _ctx("xtracks-2x1", "hetero", live=live).offline()
+        pairs = _gpu_pairs("xtracks-2x1")[:50]
+        reference = _ctx("xtracks-2x1", "hetero", live=True)
+        for sizes in (3.7e7, np.linspace(1.0, 1e9, len(pairs))):
+            _check_path_times(ctx, pairs, sizes)
+            assert (
+                ctx.path_times(pairs, sizes).tolist()
+                == reference.path_times(pairs, sizes).tolist()
+            )
+        assert ctx._hops == {}
+
+
+def _scalar_sync_time(ctx: CommContext, stages, data_bytes) -> float:
+    """Eq. 6 as the per-pair loop the batched price replaced."""
+    total = 0.0
+    for senders, receivers in zip(stages, stages[1:]):
+        total += min(
+            max(ctx.path_time(a, k, data_bytes) for k in receivers)
+            for a in senders
+        )
+    return total
+
+
+def _scalar_kv_time(ctx, model, k_in, pre, dec, exclude) -> float:
+    """Eq. 14 as the per-pair dict accumulation the batched price replaced."""
+    total_bytes = kv_bytes_per_token(model) * k_in
+    per_gpu: dict[int, float] = {}
+    for pg, dg, share in kv_pairings(pre, dec, exclude_gpus=exclude):
+        t = ctx.path_time(pg, dg, total_bytes * share)
+        per_gpu[pg] = per_gpu.get(pg, 0.0) + t
+    return max(per_gpu.values())
+
+
+@st.composite
+def _stages(draw, gpus):
+    """Disjoint prefill and decode stage layouts over ``gpus``."""
+    pool = draw(st.permutations(gpus))
+    layouts = []
+    for _ in range(2):
+        pp = draw(st.integers(1, min(3, len(pool))))
+        tp = draw(st.integers(1, min(4, len(pool) // pp)))
+        layouts.append(
+            [tuple(pool[(s * tp) : (s + 1) * tp]) for s in range(pp)]
+        )
+        pool = pool[pp * tp :]
+    return layouts
+
+
+class TestBatchedPhasePrices:
+    @pytest.mark.parametrize("topo", ["testbed", "xtracks-2x1"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_live_matches_scalar_loops(self, topo, data):
+        ctx = _ctx(topo, "hetero", live=True)
+        gpus = ctx.built.topology.gpu_ids()
+        pre, dec = data.draw(_stages(gpus[:24]))
+        exclude = data.draw(
+            st.frozensets(st.sampled_from([g for s in dec for g in s]))
+        )
+        k_in = data.draw(st.integers(1, 4096))
+        act = data.draw(st.integers(1, 10**8))
+        handles: list[int] = []
+        for op in data.draw(_live_ops(ctx.built.topology.n_links)):
+            _apply(ctx.linkstate, handles, op)
+            for stages in (pre, dec):
+                if len(stages) > 1:
+                    assert pipeline_sync_time(
+                        ctx, stages, act
+                    ) == _scalar_sync_time(ctx, stages, act)
+            assert estimate_kv_transfer_time(
+                ctx, OPT_66B, k_in, pre, dec, exclude_gpus=exclude
+            ) == _scalar_kv_time(ctx, OPT_66B, k_in, pre, dec, exclude)
+
+    def test_planner_leaves_capacity_view_unindexed(self, monkeypatch):
+        calls = []
+        batched = CommContext.path_times
+
+        def counted(self, pairs, data_bytes):
+            calls.append(self.linkstate is None)
+            return batched(self, pairs, data_bytes)
+
+        monkeypatch.setattr(CommContext, "path_times", counted)
+        ctx = CommContext.from_built(_built("testbed"))
+        bank = CostModelBank(OPT_66B, {"A100": A100, "V100": V100})
+        planner = OfflinePlanner(
+            ctx,
+            OPT_66B,
+            bank,
+            SLA_TESTBED_CHATBOT,
+            SchemeKind.HYBRID,
+            config=PlannerConfig(seed=0, max_candi=6),
+        )
+        report = planner.plan(BatchSpec.uniform(8, 256, 220), arrival_rate=0.5)
+        assert report.plan is not None
+        assert calls and all(calls)
+        assert ctx._hops == {}
+        assert ctx._prices

@@ -131,6 +131,24 @@ class TestBank:
         mixed = bank.group_prefill_time(["TEST", "V100"], b, 1)
         assert mixed == max(slow, fast)
 
+    @pytest.mark.parametrize(
+        "members",
+        [
+            ["A100", "V100", "A100", "A100", "V100", "V100", "A100"],
+            ["V100"] * 5 + ["A100"] * 3,
+            ["A100"] * 8,
+        ],
+    )
+    def test_group_times_price_each_model_once(self, members):
+        bank = CostModelBank(TINY, {"A100": A100, "V100": V100}, seed=0)
+        b = BatchSpec.uniform(3, 200, 16)
+        assert bank.group_prefill_time(members, b, 2) == max(
+            bank.for_hardware(hw).prefill_time(b, 2) for hw in members
+        )
+        assert bank.group_decode_time(members, 6, 1900, 2, 3) == max(
+            bank.for_hardware(hw).decode_time(6, 1900, 2, 3) for hw in members
+        )
+
     def test_unknown_hardware_raises(self):
         bank = CostModelBank(TINY, {"TEST": TEST_GPU}, seed=0)
         with pytest.raises(KeyError):
