@@ -12,21 +12,26 @@ byte-identical to an unobserved run and the throughput number prices
 the simulator, not the telemetry. The profiler records the event loop
 as the ``engine.run`` section plus ``engine.requests_finished`` /
 ``engine.events_fired`` counters; requests/sec and events/sec are
-derived from those here.
+derived from those here. Each setting's simulation runs ``REPEATS``
+times over one built system and the run with the median requests/sec
+is recorded: a single ~0.25 s run spreads too widely on a shared host
+for the 25 % gate below.
 
 Results land in ``engine_throughput.txt`` (tables) and
 ``BENCH_engine.json`` (the machine-readable perf baseline the CI
 perf-smoke job gates on: a >25 % drop in requests-simulated/sec on
-either topology fails the build, and so does any change to a setting's
-``events_fired`` or ``requests_finished``, which are simulated counts
-and do not depend on the host). The ROADMAP's engine-vectorization
-work is measured against this file.
+any setting fails the build, and so does any change to a setting's
+work counts — ``events_fired``, ``requests_finished`` and the link
+tracker's ``network_writes``/``network_registrations`` — which are
+simulated counts and do not depend on the host). The ROADMAP's
+engine-vectorization work is measured against this file.
 """
 
 import pytest
 
 from repro.core import SLA_SIM_CHATBOT, SLA_TESTBED_CHATBOT
 from repro.baselines import HEROSERVE, build_system, simulate_trace
+from repro.core.plan import ParallelConfig
 from repro.llm import OPT_66B, OPT_175B
 from repro.network import build_testbed, build_xtracks_cluster
 from repro.obs import NullObserver, PhaseProfiler
@@ -49,6 +54,15 @@ from repro.util.tables import format_table
 #: (planning happens outside the profiled window) don't dominate and the
 #: wall-clock window is wide enough for a stable req/s reading.
 DURATION = 60.0
+#: Timed simulations per setting; the recorded run is the median one.
+REPEATS = 5
+#: Per-run work counts: simulated, so equal across repeats and hosts.
+WORK = (
+    "requests_finished",
+    "events_fired",
+    "network_writes",
+    "network_registrations",
+)
 
 SETTINGS = {
     "testbed OPT-66B": dict(
@@ -67,11 +81,22 @@ SETTINGS = {
         parallel=CLUSTER_PARALLEL,
         rate=1.2,
     ),
+    # The shape perfbench's storm-2tracks plans: three pipeline stages
+    # per phase (Eq. 6's sync) and one-server TP groups, whose policy
+    # tables are [nvlink, ring].
+    "2tracks OPT-175B TP8xPP3": dict(
+        builder=lambda: build_xtracks_cluster(2, n_units=1),
+        model=OPT_175B,
+        bank=make_cluster_bank,
+        sla=SLA_SIM_CHATBOT,
+        parallel=ParallelConfig(8, 3, 8, 3),
+        rate=1.2,
+    ),
 }
 
 
 def profile_setting(spec: dict) -> dict:
-    """One profiled HeroServe run; returns its throughput and tables."""
+    """The median of ``REPEATS`` profiled runs of one built system."""
     built = spec["builder"]()
     trace = chatbot_trace(spec["rate"], DURATION, seed=BENCH_SEED)
     system = build_system(
@@ -84,6 +109,18 @@ def profile_setting(spec: dict) -> dict:
         arrival_rate=spec["rate"],
         forced_parallel=spec["parallel"],
     )
+    runs = sorted(
+        (profile_run(system, trace) for _ in range(REPEATS)),
+        key=lambda run: run["requests_per_s"],
+    )
+    for key in WORK:
+        counts = [run[key] for run in runs]
+        assert len(set(counts)) == 1, (key, counts)
+    return runs[REPEATS // 2]
+
+
+def profile_run(system, trace) -> dict:
+    """One profiled simulation; returns its throughput and tables."""
     observer = NullObserver()
     observer.profiler = profiler = PhaseProfiler()
     metrics = simulate_trace(
@@ -92,12 +129,15 @@ def profile_setting(spec: dict) -> dict:
     snap = profiler.snapshot()
     sections = snap["phases"]
     wall_s = sections.pop("engine.run")["total_s"]
-    requests = snap["counters"]["engine.requests_finished"]
-    events = snap["counters"]["engine.events_fired"]
+    counters = snap["counters"]
+    requests = counters["engine.requests_finished"]
+    events = counters["engine.events_fired"]
     return {
         "wall_s": wall_s,
         "requests_finished": requests,
         "events_fired": events,
+        "network_writes": counters["network.writes"],
+        "network_registrations": counters["network.registrations"],
         "requests_per_s": requests / wall_s,
         "events_per_s": events / wall_s,
         "sections": sections,
@@ -127,8 +167,7 @@ def baseline_payload(snaps: dict[str, dict]) -> dict:
             "requests_per_s": round(snap["requests_per_s"], 1),
             "events_per_s": round(snap["events_per_s"], 1),
             "wall_s": round(snap["wall_s"], 4),
-            "requests_finished": snap["requests_finished"],
-            "events_fired": snap["events_fired"],
+            **{key: snap[key] for key in WORK},
             "sections_ms": {
                 name: round(row["total_s"] * 1e3, 3)
                 for name, row in snap["sections"].items()
@@ -167,8 +206,8 @@ def test_engine_throughput(benchmark):
         rows,
         title=(
             "Engine throughput: requests simulated per host wall-clock "
-            "second (profile-only NullObserver — results byte-identical "
-            "to an unobserved run)"
+            f"second, median of {REPEATS} runs (profile-only NullObserver "
+            "— results byte-identical to an unobserved run)"
         ),
     )
     reports = "\n\n".join(snap["report"] for snap in snaps.values())

@@ -57,6 +57,12 @@ class CommContext:
     _hops: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    #: a live view's ring index per ``pairs`` tuple of
+    #: :meth:`ring_terms`: ``(every pair's link ids, flat; slowest
+    #: pair's summed hop latency)``
+    _rings: dict[tuple, tuple[np.ndarray, float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def from_built(
@@ -177,6 +183,46 @@ class CommContext:
         avail = self.linkstate.available()
         per_hop = np.where(mask, hop + data / avail[idx], 0.0)
         return per_hop.cumsum(-1)[:, -1]
+
+    def ring_terms(
+        self, pairs: tuple[tuple[int, int], ...]
+    ) -> tuple[float, float]:
+        """Eq. 11's ``min_e B(e)`` and the slowest edge's hop latency.
+
+        The bottleneck is the least :meth:`path_bottleneck` over
+        ``pairs`` (``inf`` when no pair has a hop); the latency is the
+        ``max`` over pairs of each path's ``hop_latency`` summed left to
+        right. A live view builds, on the first call for a ``pairs``
+        tuple, the flat link ids of every pair and that static latency;
+        each later call is one gather of ``available()``. A ``min``
+        does not depend on order, so both views return the same floats.
+        A capacity view reads its per-pair :meth:`path_bottleneck` memo.
+        """
+        if self.linkstate is None:
+            return (
+                min(self.path_bottleneck(u, v) for u, v in pairs),
+                self._slowest_hops(pairs),
+            )
+        ring = self._rings.get(pairs)
+        if ring is None:
+            idx = np.fromiter(
+                (lid for u, v in pairs for lid in self.path_links(u, v)),
+                dtype=np.intp,
+            )
+            idx.flags.writeable = False
+            ring = self._rings[pairs] = (idx, self._slowest_hops(pairs))
+        idx, hop_lat = ring
+        if not idx.size:
+            return float("inf"), hop_lat
+        return float(self.linkstate.available()[idx].min()), hop_lat
+
+    def _slowest_hops(self, pairs: tuple[tuple[int, int], ...]) -> float:
+        """``max`` over ``pairs`` of the path's summed hop latencies."""
+        links = self.built.topology.links
+        return max(
+            sum(links[lid].hop_latency for lid in self.path_links(u, v))
+            for u, v in pairs
+        )
 
     def _hop_index(
         self, pairs: tuple[tuple[int, int], ...]

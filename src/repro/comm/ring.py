@@ -43,7 +43,8 @@ def ring_allreduce_time(
     ``D_rg = D / P`` — each of the ``2(P-1)`` steps moves a shard along
     every ring edge simultaneously (chunked cut-through, as NCCL does),
     so a step is gated by the *bottleneck* bandwidth over all ring
-    edges, plus the slowest edge's fixed per-hop latencies.
+    edges, plus the slowest edge's fixed per-hop latencies (both from
+    :meth:`~repro.comm.context.CommContext.ring_terms`).
     """
     members = list(order) if order is not None else ring_order(ctx, gpus)
     p = len(members)
@@ -52,12 +53,8 @@ def ring_allreduce_time(
     if p == 1 or data_bytes <= 0:
         return 0.0
     shard = data_bytes / p
-    pairs = list(zip(members, members[1:] + members[:1]))
-    bottleneck = min(ctx.path_bottleneck(u, v) for u, v in pairs)
-    topo = ctx.built.topology
-    hop_lat = max(
-        sum(topo.links[lid].hop_latency for lid in ctx.path_links(u, v))
-        for u, v in pairs
+    bottleneck, hop_lat = ctx.ring_terms(
+        tuple(zip(members, members[1:] + members[:1]))
     )
     step = shard / bottleneck + hop_lat
     return 2.0 * (p - 1) * step
@@ -72,10 +69,7 @@ def ring_bottleneck_bandwidth(
     members = list(order) if order is not None else ring_order(ctx, gpus)
     if len(members) < 2:
         return float("inf")
-    return min(
-        ctx.path_bottleneck(u, v)
-        for u, v in zip(members, members[1:] + members[:1])
-    )
+    return ctx.ring_terms(tuple(zip(members, members[1:] + members[:1])))[0]
 
 
 def ring_link_footprint(

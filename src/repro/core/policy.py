@@ -27,7 +27,9 @@ utilisation (switch counters / DCGM), pulling the virtual values back to
 ground truth. Both measurements, ``b`` and ``W``, are computed once per
 link-state version over a padded policy×link index built with the table;
 their sums run left to right, as the scalar :meth:`sharing_ratio` does,
-so the two agree bit for bit.
+so the two agree bit for bit. A table whose rows share no link (a
+one-server group's ``[nvlink, ring]``) has ``W = 0`` in every state and
+skips the EWMA.
 """
 
 from __future__ import annotations
@@ -109,6 +111,13 @@ class PolicyCostTable:
             [uses[:, col] & self._has_link, self._has_link[None]]
         )
         self._off_diagonal = ~np.eye(n, dtype=bool)
+        #: no two distinct rows share a link: Eq. 18's ``W`` is 0 for
+        #: every link state and ``f`` stays 0, so the EWMA is skipped
+        self._share_free = not self._terms[:-1][self._off_diagonal].any()
+        #: Eq. 16's ``T_u * C_c`` per policy
+        self._window_caps = window * np.array(
+            [p.bottleneck_capacity for p in policies]
+        )
         #: ``(tracker, version, b)`` and ``(tracker, version, W)`` of the
         #: last measurement; every ``decide`` re-measures ``b``, and most
         #: land on a version a refresh or an earlier decide already saw
@@ -170,8 +179,7 @@ class PolicyCostTable:
 
     def delta(self, data_bytes: float) -> np.ndarray:
         """Per-policy added utilisation of a ``data_bytes`` transfer."""
-        caps = np.array([p.bottleneck_capacity for p in self.policies])
-        return data_bytes / (self.window * caps)
+        return data_bytes / self._window_caps
 
     def costs(self, data_bytes: float) -> np.ndarray:
         """``J(c, D) = b_c + delta`` for every policy."""
@@ -236,7 +244,14 @@ class PolicyCostTable:
         return w
 
     def refresh_penalties(self, linkstate: LinkLoadTracker) -> None:
-        """Eq. 18: EWMA-update every pairwise penalty ``f_{(c*,c)}``."""
+        """Eq. 18: EWMA-update every pairwise penalty ``f_{(c*,c)}``.
+
+        A share-free table returns at once: its static ``f`` starts at
+        0, ``W`` is 0 in every link state, and
+        ``0.0 * (1 - gamma) + gamma * 0.0 == 0.0``.
+        """
+        if self._share_free:
+            return
         w = self._sharing_matrix(linkstate)
         # In place, with the loop's roundings: (1 - gamma) * f + gamma * W.
         # A zero diagonal in both keeps f's diagonal zero.

@@ -46,7 +46,7 @@ class LinkLoadTracker:
     _load: np.ndarray = field(init=False)
     _ewma_util: np.ndarray = field(init=False)
     _next_handle: int = field(default=0, init=False)
-    _registrations: dict[int, tuple[np.ndarray, float]] = field(
+    _registrations: dict[int, tuple[np.ndarray, float | np.ndarray]] = field(
         default_factory=dict, init=False
     )
     #: tolerated double-releases (each one is a caller bug worth counting)
@@ -70,11 +70,28 @@ class LinkLoadTracker:
 
     # -- registration ----------------------------------------------------
 
-    def register(self, link_ids: Sequence[int] | np.ndarray, rate: float) -> int:
-        """Add ``rate`` bytes/s of sustained load on each link; returns handle."""
-        if rate < 0:
-            raise ValueError(f"rate must be >= 0, got {rate}")
+    def register(
+        self,
+        link_ids: Sequence[int] | np.ndarray,
+        rate: float | np.ndarray,
+    ) -> int:
+        """Add sustained load on links; returns one handle for all of them.
+
+        ``rate`` is bytes/s on each link, or an array of per-link rates
+        shaped like ``link_ids``.
+        """
         ids = np.asarray(link_ids, dtype=np.int64)
+        if isinstance(rate, np.ndarray):
+            rate = rate.astype(np.float64)  # a copy the caller cannot mutate
+            if rate.shape != ids.shape:
+                raise ValueError(
+                    f"rate: shape {rate.shape} does not match link_ids "
+                    f"shape {ids.shape}"
+                )
+            if (rate < 0).any():
+                raise ValueError(f"rate: every rate must be >= 0, got {rate}")
+        elif rate < 0:
+            raise ValueError(f"rate must be >= 0, got {rate}")
         if ids.size and (ids.min() < 0 or ids.max() >= len(self._load)):
             raise ValueError("link id out of range")
         np.add.at(self._load, ids, rate)
@@ -113,6 +130,11 @@ class LinkLoadTracker:
     def active_registrations(self) -> int:
         """Number of currently registered loads."""
         return len(self._registrations)
+
+    @property
+    def handles_issued(self) -> int:
+        """Handles :meth:`register` has returned since construction."""
+        return self._next_handle
 
     # -- queries -----------------------------------------------------------
 

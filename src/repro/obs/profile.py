@@ -18,7 +18,8 @@ Named *counters* sit beside the timers: the planner's estimation-cache
 hits/misses and the engine's ``engine.requests_finished`` /
 ``engine.events_fired`` run totals, from which
 ``benchmarks/bench_engine_throughput.py`` derives requests/events per
-second for ``BENCH_engine.json``.
+second for ``BENCH_engine.json``, plus the link tracker's
+``network.writes`` / ``network.registrations`` work counts.
 
 Attach it through the observer: ``Observer(profiler=p)`` for a fully
 observed run, or a :class:`~repro.obs.observer.NullObserver` whose

@@ -105,17 +105,14 @@ class BackgroundTraffic:
     def _burst(self, horizon_end: float) -> None:
         k = min(self.cfg.links_per_burst, self._eth.size)
         links = self.rng.choice(self._eth, size=k, replace=False)
-        caps = self.linkstate.capacity[links]
-        intensity = self._effective_intensity()
-        handles = [
-            self.linkstate.register([int(l)], intensity * float(c))
-            for l, c in zip(links, caps)
-        ]
+        # One handle for the burst: the links are distinct, so each gets
+        # one add of its own rate, as k one-link registrations would.
+        rates = self._effective_intensity() * self.linkstate.capacity[links]
+        handle = self.linkstate.register(links, rates)
         self.bursts_started += 1
         dur = float(self.rng.exponential(self.cfg.mean_duration))
-        self.queue.schedule(dur, self._burst_end, handles, tag="bg_end")
+        self.queue.schedule(dur, self._burst_end, handle, tag="bg_end")
         self._schedule_next(horizon_end)
 
-    def _burst_end(self, handles: list[int]) -> None:
-        for h in handles:
-            self.linkstate.release(h)
+    def _burst_end(self, handle: int) -> None:
+        self.linkstate.release(handle)

@@ -968,6 +968,9 @@ class ServingSimulator:
             )
         profiler.count("engine.requests_finished", self.metrics.n_finished)
         profiler.count("engine.events_fired", self.queue.events_fired)
+        ls = self.ctx.linkstate
+        profiler.count("network.writes", ls.version)
+        profiler.count("network.registrations", ls.handles_issued)
         if self.faults is not None:
             self.faults.finalize(self.queue.now, self.metrics)
         if self.replanner is not None:

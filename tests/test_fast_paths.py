@@ -1,8 +1,10 @@
 """Differential tests: each pricing fast path against its slow reference.
 
 The route-table link-path memo, the capacity view's path-price memo, the
-per-version ``available()`` array, the vectorised policy-table refresh and
-the batched live path prices of Eqs. 6 and 14 must reproduce the scalar code they replace bit for bit, so every
+per-version ``available()`` array, the vectorised policy-table refresh, the
+share-free table's skipped EWMA, the batched live path prices of Eqs. 6
+and 14, the live ring price and the one-handle multi-rate registration
+must reproduce the scalar code they replace bit for bit, so every
 comparison here is exact equality.
 """
 
@@ -15,9 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.comm import CommContext, SchemeKind, pipeline_sync_time
+from repro.comm import (
+    CommContext,
+    SchemeKind,
+    pipeline_sync_time,
+    ring_allreduce_time,
+)
 from repro.core import (
     SLA_TESTBED_CHATBOT,
+    LoadAwareScheduler,
     Policy,
     PolicyCostTable,
     estimate_kv_transfer_time,
@@ -41,6 +49,11 @@ from repro.network import (
     build_xtracks_cluster,
 )
 from repro.network.linkstate import MIN_AVAILABLE_FRACTION
+from repro.serving.background import (
+    BackgroundTraffic,
+    BackgroundTrafficConfig,
+)
+from repro.sim.eventqueue import EventQueue
 
 BUILDERS = {
     "testbed": build_testbed,
@@ -607,3 +620,263 @@ class TestBatchedPhasePrices:
         assert calls and all(calls)
         assert ctx._hops == {}
         assert ctx._prices
+
+
+class TestShareFreeTable:
+    """A table whose rows share no link skips Eq. 18's EWMA: ``W`` is 0
+    in every link state, so ``f`` stays exactly the zeros it starts at."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # distinct links dealt into rows; an empty row is an nvlink policy
+        links=st.lists(st.integers(0, 11), unique=True, max_size=12),
+        cuts=st.lists(st.integers(0, 12), min_size=0, max_size=5),
+        gamma=st.floats(0.05, 1.0),
+        ops=st.lists(_TABLE_OPS, max_size=30),
+    )
+    def test_f_stays_zero_and_equals_full_ewma(self, links, cuts, gamma, ops):
+        bounds = [0, *sorted(cuts), len(links)]
+        rows = [links[a:b] for a, b in zip(bounds, bounds[1:])]
+        tracker = LinkLoadTracker(_built("testbed").topology)
+        fast = PolicyCostTable(_policies(rows), gamma=gamma)
+        slow = _ScalarTable(_policies(rows), gamma=gamma)
+        assert fast._share_free
+        handles: list[int] = []
+        for op in ops:
+            kind = op[0]
+            if kind == "select":
+                assert fast.select(op[1]) == slow.select(op[1])
+            elif kind == "refresh":
+                for t in (fast, slow):
+                    t.refresh_utilization(tracker)
+                    t.refresh_penalties(tracker)
+            elif kind == "refresh_utilization":
+                fast.refresh_utilization(tracker)
+                slow.refresh_utilization(tracker)
+            else:
+                _apply(tracker, handles, op)
+            assert np.array_equal(fast.b, slow.b)
+            assert fast.f.tobytes() == slow.f.tobytes()
+            assert fast.f.tobytes() == np.zeros_like(fast.f).tobytes()
+
+    def test_one_shared_link_runs_the_ewma(self):
+        tracker = LinkLoadTracker(_built("testbed").topology)
+        table = PolicyCostTable(_policies([(0, 1), (), (1, 2)]))
+        assert not table._share_free
+        table.refresh_penalties(tracker)
+        assert table.f[0, 2] > 0.0
+
+    def test_one_server_groups_are_share_free(self):
+        # [nvlink, ring] on one server: the nvlink row occupies no link.
+        # A two-server hybrid group's rows all carry the leaders' legs.
+        ctx = _ctx("xtracks-2x1", "hetero", live=True)
+        gpus = ctx.built.topology.gpu_ids()
+        one = LoadAwareScheduler(ctx, gpus[:8], SchemeKind.HYBRID)
+        assert [p.mode for p in one.table.policies] == ["nvlink", "ring"]
+        assert one.table._share_free
+        two = LoadAwareScheduler(ctx, gpus[4:12], SchemeKind.HYBRID)
+        assert not two.table._share_free
+
+
+def _scalar_ring_time(ctx: CommContext, members, data_bytes) -> float:
+    """Eq. 11 as the per-pair loop the live ring price replaced."""
+    p = len(members)
+    if p == 1 or data_bytes <= 0:
+        return 0.0
+    pairs = list(zip(members, members[1:] + members[:1]))
+    bottleneck = min(ctx.path_bottleneck(u, v) for u, v in pairs)
+    topo = ctx.built.topology
+    hop_lat = max(
+        sum(topo.links[lid].hop_latency for lid in ctx.path_links(u, v))
+        for u, v in pairs
+    )
+    return 2.0 * (p - 1) * (data_bytes / p / bottleneck + hop_lat)
+
+
+@st.composite
+def _rings(draw, topo: str):
+    """A one-server ring, a cross-server ring or a two-member ring."""
+    topology = _built(topo).topology
+    gpus = topology.gpu_ids()
+    shape = draw(st.sampled_from(["one-server", "cross-server", "pair"]))
+    if shape == "one-server":
+        server = topology.nodes[draw(st.sampled_from(gpus))].server
+        pool = [g for g in gpus if topology.nodes[g].server == server]
+        size = draw(st.integers(2, len(pool)))
+    elif shape == "cross-server":
+        pool = gpus
+        size = draw(st.integers(3, min(16, len(pool))))
+    else:
+        pool, size = gpus, 2
+    return tuple(draw(st.permutations(pool))[:size])
+
+
+class TestLiveRingPrice:
+    @pytest.mark.parametrize("view", sorted(VIEWS))
+    @pytest.mark.parametrize(
+        "topo", ["testbed", "xtracks-2x1", "testbed-1track", "fig2"]
+    )
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_live_matches_per_pair_loop(self, topo, view, data):
+        members = data.draw(_rings(topo))
+        ctx = _ctx(topo, view, live=True)
+        sizes = (3.7e7, data.draw(st.floats(0.0, 1e10)))
+        handles: list[int] = []
+        for op in data.draw(_live_ops(ctx.built.topology.n_links)):
+            _apply(ctx.linkstate, handles, op)
+            for size in sizes:
+                assert ring_allreduce_time(
+                    ctx, members, size, order=members
+                ) == _scalar_ring_time(ctx, members, size)
+        # one index for the member tuple, built on the first call
+        assert len(ctx._rings) <= 1
+
+    @pytest.mark.parametrize("topo", ["testbed", "xtracks-2x1"])
+    def test_capacity_view_builds_no_index(self, topo):
+        live = _ctx(topo, "hetero", live=True)
+        offline = live.offline()
+        gpus = live.built.topology.gpu_ids()
+        for members in (tuple(gpus[:8]), tuple(gpus[:2]), tuple(gpus[::3])):
+            for size in (1.0, 3.7e7):
+                assert ring_allreduce_time(
+                    offline, members, size, order=members
+                ) == ring_allreduce_time(live, members, size, order=members)
+        assert offline._rings == {} and len(live._rings) == 3
+
+    def test_no_hop_pairs_price_infinite_bandwidth(self):
+        ctx = _ctx("testbed", "hetero", live=True)
+        g = ctx.built.topology.gpu_ids()[0]
+        assert ctx.ring_terms(((g, g),)) == (float("inf"), 0)
+
+
+def _burst_ops(n_links: int):
+    """Scalar handles around one multi-rate burst and its release."""
+    link = st.integers(0, n_links - 1)
+    return st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("register"),
+                st.lists(link, min_size=1, max_size=6),
+                st.floats(0.0, 2e10),
+            ),
+            st.tuples(st.just("release"), st.integers(0, 50)),
+            st.tuples(st.just("set_link_factor"), link, st.floats(0.01, 1.0)),
+            st.tuples(
+                st.just("burst"),
+                st.lists(link, min_size=1, max_size=8, unique=True),
+                st.lists(st.floats(0.0, 2e10), min_size=8, max_size=8),
+            ),
+            st.tuples(st.just("burst_end"), st.integers(0, 50)),
+        ),
+        max_size=25,
+    )
+
+
+def _bits(tracker: LinkLoadTracker) -> tuple[bytes, bytes, bytes]:
+    return (
+        tracker._load.tobytes(),
+        tracker.available().tobytes(),
+        tracker.utilization().tobytes(),
+    )
+
+
+class TestMultiRateRegistration:
+    @settings(max_examples=80, deadline=None)
+    @given(ops=_burst_ops(82))
+    def test_one_handle_equals_one_per_link(self, ops):
+        topology = _built("testbed").topology
+        multi, single = LinkLoadTracker(topology), LinkLoadTracker(topology)
+        # scalar handles shared by both; bursts: one handle vs k handles
+        handles: list[tuple[int, int]] = []
+        bursts: list[tuple[int, list[int]]] = []
+        for op in ops:
+            kind = op[0]
+            if kind == "register":
+                handles.append(
+                    (multi.register(op[1], op[2]), single.register(op[1], op[2]))
+                )
+            elif kind == "release" and handles:
+                a, b = handles.pop(op[1] % len(handles))
+                multi.release(a)
+                single.release(b)
+            elif kind == "set_link_factor":
+                multi.set_link_factor(op[1], op[2])
+                single.set_link_factor(op[1], op[2])
+            elif kind == "burst":
+                links = np.array(op[1])
+                rates = np.array(op[2][: len(links)])
+                bursts.append(
+                    (
+                        multi.register(links, rates),
+                        [
+                            single.register([int(l)], float(r))
+                            for l, r in zip(links, rates)
+                        ],
+                    )
+                )
+                rates[:] = 0.0  # the tracker keeps its own copy
+            elif kind == "burst_end" and bursts:
+                one, many = bursts.pop(op[1] % len(bursts))
+                multi.release(one)
+                for h in many:
+                    single.release(h)
+            assert _bits(multi) == _bits(single)
+        assert multi.active_registrations() == len(handles) + len(bursts)
+
+    def test_rejects_negative_rates_and_shape_mismatch(self):
+        tracker = LinkLoadTracker(_built("testbed").topology)
+        with pytest.raises(ValueError, match="rate: every rate must be >= 0"):
+            tracker.register([0, 1], np.array([1e9, -1.0]))
+        # a (1,) rate array would broadcast over the ids in np.add.at
+        for rates in ([1e9, 1e9, 1e9], [1e9], [[1e9, 1e9]]):
+            with pytest.raises(ValueError, match="rate: shape"):
+                tracker.register([0, 1], np.array(rates))
+        with pytest.raises(ValueError, match="rate must be >= 0"):
+            tracker.register([0, 1], -1.0)
+        assert tracker.version == 0 and tracker.handles_issued == 0
+        assert not tracker.load().any()
+
+
+class _ScalarBursts(BackgroundTraffic):
+    """The one-registration-per-link bursts the one-handle burst replaced."""
+
+    def _burst(self, horizon_end):
+        k = min(self.cfg.links_per_burst, self._eth.size)
+        links = self.rng.choice(self._eth, size=k, replace=False)
+        caps = self.linkstate.capacity[links]
+        intensity = self._effective_intensity()
+        handles = [
+            self.linkstate.register([int(l)], intensity * float(c))
+            for l, c in zip(links, caps)
+        ]
+        self.bursts_started += 1
+        dur = float(self.rng.exponential(self.cfg.mean_duration))
+        self.queue.schedule(dur, self._burst_end, handles, tag="bg_end")
+        self._schedule_next(horizon_end)
+
+    def _burst_end(self, handles):
+        for h in handles:
+            self.linkstate.release(h)
+
+
+@pytest.mark.parametrize("topo", ["testbed", "xtracks-2x1"])
+def test_background_bursts_write_the_tracker_once(topo):
+    topology = _built(topo).topology
+    cfg = BackgroundTrafficConfig(mean_gap=0.05, links_per_burst=8)
+    runs = []
+    for cls in (BackgroundTraffic, _ScalarBursts):
+        tracker, queue = LinkLoadTracker(topology), EventQueue()
+        bg = cls(topology, tracker, queue, cfg, seed=3)
+        bg.start(horizon=5.0)
+        runs.append((bg, tracker, queue))
+    (fast, multi, q1), (slow, single, q2) = runs
+    while q1.step():
+        assert q2.step()
+        assert q1.now == q2.now
+        assert _bits(multi) == _bits(single)
+    assert not q2.step()
+    assert fast.bursts_started == slow.bursts_started > 10
+    assert multi.handles_issued == fast.bursts_started
+    assert single.handles_issued == 8 * slow.bursts_started
+    assert multi.active_registrations() == single.active_registrations() == 0

@@ -104,6 +104,10 @@ class TestEngineIntegration:
         counters = p.counters()
         assert counters["engine.requests_finished"] == metrics.n_finished
         assert counters["engine.events_fired"] > metrics.n_finished
+        # Link-tracker work: a drained fault-free run released every
+        # handle it registered, one tracker write each way.
+        assert counters["network.registrations"] > 0
+        assert counters["network.writes"] == 2 * counters["network.registrations"]
         # Handler time is a subset of the bracketing run wall-clock.
         handler_s = sum(stat.total for stat in p.handlers().values())
         assert 0.0 < handler_s <= run.total
