@@ -4,7 +4,9 @@ Paper: "our algorithm typically finds a solution within 10 minutes, a
 reduction of 28.57 % compared to DistServe", attributed to (a) the
 constant-size candidate list, (b) asynchronous prefill/decode estimation
 threads and (c) offline precomputation of the shortest-path/latency
-matrices. On top of those, this repo memoizes the comm-latency
+matrices. Here (b) is left out: the two estimates are pure Python, so
+under the GIL threads bought no time, and both planners run them one
+after the other. On top of those, this repo memoizes the comm-latency
 evaluations (``repro.core.estcache``), so each setting is timed three
 ways:
 
@@ -16,9 +18,8 @@ ways:
   context's path-price memo and the route table's link-path memo took
   over part of the estimation cache's work, so ``use_cache=False`` alone
   no longer measures the uncached planner),
-* **sweep**    — the reference planner without any of the paper's
-  heuristics (candidate sweep, sequential estimation, per-candidate
-  Dijkstra).
+* **sweep**    — the reference planner without the paper's heuristics
+  (candidate sweep, no estimation cache, per-estimate Dijkstra).
 
 The cached and pre-cache planners must produce *byte-identical* plans —
 the cache only skips recomputation of pure functions. Results land in

@@ -40,7 +40,6 @@ it on ``replan_excluding``).
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Sequence
 
 import numpy as np
@@ -62,10 +61,8 @@ class EstimationCache:
     """Memoized comm-latency evaluation over one offline context.
 
     Shared across every candidate, k-means seed and perturbation round of
-    a planner run (and across planner runs, until invalidated). Safe for
-    the planner's two concurrent estimation threads: memo dict reads and
-    writes are individually atomic under the GIL, a duplicated miss just
-    recomputes the same pure value, and the counters take a lock.
+    a planner run (and across planner runs, until invalidated). The
+    planner estimates on one thread, so the hit/miss counts are exact.
     """
 
     def __init__(self, ctx: CommContext) -> None:
@@ -74,7 +71,6 @@ class EstimationCache:
         self.ctx = ctx
         self._group_memo: dict[tuple, GroupCommEstimate] = {}
         self._dist_memo: dict[tuple[int, ...], np.ndarray] = {}
-        self._lock = threading.Lock()
         self.group_hits = 0
         self.group_misses = 0
         self.dist_hits = 0
@@ -93,12 +89,11 @@ class EstimationCache:
 
     def invalidate(self) -> None:
         """Drop every memoized value (topology/fault/load state changed)."""
-        with self._lock:
-            self._group_memo.clear()
-            self._dist_memo.clear()
-            self.invalidations += 1
-            ls = self.ctx.linkstate
-            self._linkstate_version = ls.version if ls is not None else None
+        self._group_memo.clear()
+        self._dist_memo.clear()
+        self.invalidations += 1
+        ls = self.ctx.linkstate
+        self._linkstate_version = ls.version if ls is not None else None
 
     # -- memoized evaluations ---------------------------------------------
 
@@ -130,8 +125,7 @@ class EstimationCache:
         )
         hit = self._group_memo.get(key)
         if hit is not None:
-            with self._lock:
-                self.group_hits += 1
+            self.group_hits += 1
             return hit
         est = estimate_group_step(
             self.ctx,
@@ -143,8 +137,7 @@ class EstimationCache:
             contention=contention,
         )
         self._group_memo[key] = est
-        with self._lock:
-            self.group_misses += 1
+        self.group_misses += 1
         return est
 
     def distance_matrix(self, gpus: Sequence[int]) -> np.ndarray:
@@ -156,30 +149,27 @@ class EstimationCache:
         key = tuple(gpus)
         hit = self._dist_memo.get(key)
         if hit is not None:
-            with self._lock:
-                self.dist_hits += 1
+            self.dist_hits += 1
             return hit
         dist = self.ctx.gpu_distance_matrix(list(gpus))
         dist.flags.writeable = False
         self._dist_memo[key] = dist
-        with self._lock:
-            self.dist_misses += 1
+        self.dist_misses += 1
         return dist
 
     # -- reporting ---------------------------------------------------------
 
     def stats(self) -> dict[str, float]:
         """Hit/miss totals plus the combined hit rate (for BENCH_planner)."""
-        with self._lock:
-            hits = self.group_hits + self.dist_hits
-            misses = self.group_misses + self.dist_misses
-            return {
-                "group_hits": self.group_hits,
-                "group_misses": self.group_misses,
-                "dist_hits": self.dist_hits,
-                "dist_misses": self.dist_misses,
-                "invalidations": self.invalidations,
-                "hits": hits,
-                "misses": misses,
-                "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
-            }
+        hits = self.group_hits + self.dist_hits
+        misses = self.group_misses + self.dist_misses
+        return {
+            "group_hits": self.group_hits,
+            "group_misses": self.group_misses,
+            "dist_hits": self.dist_hits,
+            "dist_misses": self.dist_misses,
+            "invalidations": self.invalidations,
+            "hits": hits,
+            "misses": misses,
+            "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
+        }

@@ -1,16 +1,21 @@
 """Scalability-oriented offline planner (paper Algorithm 1).
 
 For each candidate parallelism ``P_all`` (Step 1,
-:mod:`repro.core.candidates`), two *asynchronously scheduled* estimation
-tasks — prefill and decode, mirroring the paper's two threads — filter
-GPUs by the memory requirement ``m_req``, run the Algorithm 2 network
-estimator and the Eq. 12/13 compute model, after which the KV-transfer
-latency (Eqs. 14-15) and the queueing objective (Eq. 1) score the
-candidate. The SLA-feasible candidate with maximum scalability ``H`` wins.
+:mod:`repro.core.candidates`), a prefill and then a decode estimate
+filter GPUs by the memory requirement ``m_req``, run the Algorithm 2
+network estimator and the Eq. 12/13 compute model, after which the
+KV-transfer latency (Eqs. 14-15) and the queueing objective (Eq. 1) score
+the candidate. The SLA-feasible candidate with maximum scalability ``H``
+wins.
 
-An exhaustive reference planner (no candidate cap, no asynchronous
-estimation, full-latency-matrix recomputation per candidate) is provided
-for the planner-runtime comparison the paper makes against DistServe's
+The paper runs the two estimates on two asynchronously scheduled
+threads. Here they run one after the other on the calling thread: they
+are pure Python, so under the GIL the threads bought no time, and each
+phase keeps its own RNG stream, so the plans are the same bit for bit.
+
+An exhaustive reference planner (no candidate cap, no estimation cache,
+full-latency-matrix recomputation per phase estimate) is provided for
+the planner-runtime comparison the paper makes against DistServe's
 placement search (28.57 % faster, §III-C3).
 """
 
@@ -18,8 +23,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Collection
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -91,17 +95,10 @@ class PlannerConfig:
     max_pipe: int = 8
     perturb: bool = True
     perturb_rounds: int = 5
-    #: run prefill/decode estimation concurrently (the paper's threads)
-    asynchronous: bool = True
-    #: reuse the offline-precomputed shortest-path/latency matrices (the
-    #: paper precomputes them once, asynchronously); False recomputes
-    #: them per candidate, the reference-planner behaviour
-    precompute_routes: bool = True
     #: memoize comm-latency evaluations across candidates and perturbation
     #: rounds (:mod:`repro.core.estcache`); byte-identical plans, large
-    #: solve-time saving. Requires ``precompute_routes`` (the cache is
-    #: keyed over one shared route table). False reproduces the pre-cache
-    #: code path exactly — the benchmark's baseline.
+    #: solve-time saving. False reproduces the pre-cache code path
+    #: exactly — the benchmark's baseline.
     use_cache: bool = True
     seed: int = 7
 
@@ -165,14 +162,9 @@ class OfflinePlanner:
     # -- helpers -----------------------------------------------------------
 
     def _active_cache(self) -> EstimationCache | None:
-        """The planner's estimation cache, created on first use.
-
-        Lazy because subclasses (:class:`ExhaustivePlanner`) adjust
-        ``config`` after construction. Disabled whenever routes are
-        recomputed per candidate: the cache memoizes over one shared
-        route table.
-        """
-        if not (self.config.use_cache and self.config.precompute_routes):
+        """The planner's estimation cache, created on first use, or
+        ``None`` when ``config.use_cache`` is off."""
+        if not self.config.use_cache:
             return None
         if self._cache is None:
             self._cache = EstimationCache(self.ctx)
@@ -197,32 +189,9 @@ class OfflinePlanner:
         ]
 
     def _phase_ctx(self) -> CommContext:
-        """Context for one phase estimation.
-
-        With ``precompute_routes`` (default) the shared offline route
-        table is reused; otherwise the Dijkstra matrices are rebuilt —
-        the per-candidate recomputation cost the paper's asynchronous
-        precomputation eliminates (§III-C3).
-        """
-        if self.config.precompute_routes:
-            return self.ctx
-        from repro.network.routing import build_route_table
-        from repro.network.topology import LinkKind
-
-        exclude = (
-            None
-            if self.ctx.heterogeneous
-            else {LinkKind.NVLINK, LinkKind.PCIE}
-        )
-        return CommContext(
-            built=self.ctx.built,
-            route_table=build_route_table(
-                self.ctx.built.topology, exclude_kinds=exclude
-            ),
-            linkstate=self.ctx.linkstate,
-            agg_latency=self.ctx.agg_latency,
-            heterogeneous=self.ctx.heterogeneous,
-        )
+        """Context for one phase estimation: the shared offline route
+        table, precomputed once (§III-C3)."""
+        return self.ctx
 
     def _estimate_prefill(
         self,
@@ -351,113 +320,90 @@ class OfflinePlanner:
         rejected: list[str] = []
         cache = self._active_cache()
         stats_before = cache.stats() if cache is not None else None
-        # One executor for the whole sweep: the paper's two estimation
-        # threads, without re-spawning a pool per candidate.
-        pool = (
-            ThreadPoolExecutor(max_workers=2)
-            if self.config.asynchronous
-            else None
-        )
-        try:
-            for pall in cand.candidates:
-                pre, dec = self._estimate_candidate(pall, batch, rng, pool)
-                if pre is None or dec is None:
-                    rejected.append(
-                        f"{pall}: insufficient admissible GPUs"
-                    )
-                    log.debug(
-                        "rejected %s: insufficient admissible GPUs", pall
-                    )
-                    continue
+        for pall in cand.candidates:
+            pre, dec = self._estimate_candidate(pall, batch, rng)
+            if pre is None or dec is None:
+                rejected.append(f"{pall}: insufficient admissible GPUs")
+                log.debug("rejected %s: insufficient admissible GPUs", pall)
+                continue
 
-                with self.observer.profiler.phase("planner.objective"):
-                    t_f = estimate_kv_transfer_time(
-                        self.ctx,
-                        self.model,
-                        batch.k_in,
-                        pre.stages,
-                        dec.stages,
-                    )
-                    est = ServiceEstimate(
-                        t_network_prefill=pre.t_network,
-                        t_compute_prefill=pre.t_compute,
-                        t_network_decode=dec.t_network,
-                        t_compute_decode=dec.t_compute,
-                        t_kv_transfer=t_f,
-                        mean_output_tokens=batch.k_out / batch.q,
-                    )
-                    # Concurrency is capped by the decode cluster's KV
-                    # capacity: "insufficient memory to serve all
-                    # requests" adds queueing.
-                    topo = self.ctx.built.topology
-                    dec_min_mem = min(
-                        topo.nodes[g].memory_bytes
-                        for st in dec.stages
-                        for g in st
-                    )
-                    budget = MemoryBudget(
-                        self.model,
-                        pall.p_tens_decode,
-                        pall.p_pipe_decode,
-                        dec_min_mem,
-                        r_frac=self.config.r_frac,
-                    )
-                    tokens_per_req = (
-                        batch.k_in + batch.k_out / 2.0
-                    ) / batch.q
-                    mem_conc = int(
-                        budget.max_cached_tokens()
-                        / max(tokens_per_req, 1)
-                    )
-                    # Decode concurrency: memory-limited, up to the
-                    # continuous-batching width (the engine's default
-                    # decode batch cap).
-                    concurrency = max(1, min(64, mem_conc))
-                    obj = evaluate_objective(
-                        est, arrival_rate, self.sla, concurrency=concurrency
-                    )
-                if not obj.sla_ok and forced_parallel is None:
-                    rejected.append(
-                        f"{pall}: SLA miss (TTFT {obj.t_prefill:.3f}s, "
-                        f"TPOT {obj.t_decode:.3f}s)"
-                    )
-                    log.debug(
-                        "rejected %s: SLA miss (TTFT %.3fs, TPOT %.3fs)",
-                        pall,
-                        obj.t_prefill,
-                        obj.t_decode,
-                    )
-                    continue
-                n_feasible += 1
-                if (
-                    best_obj is None
-                    or obj.scalability > best_obj.scalability
-                ):
-                    best_obj = obj
-                    best = Plan(
-                        parallel=pall,
-                        scheme=self.scheme,
-                        prefill=PhasePlan(
-                            stages=pre.stages,
-                            comm=pre.comm,
-                            t_network=pre.t_network,
-                            t_compute=pre.t_compute,
-                        ),
-                        decode=PhasePlan(
-                            stages=dec.stages,
-                            comm=dec.comm,
-                            t_network=dec.t_network,
-                            t_compute=dec.t_compute,
-                        ),
-                        t_kv_transfer=t_f,
-                        t_prefill=obj.t_prefill,
-                        t_decode=obj.t_decode,
-                        scalability=obj.scalability,
-                        planned_rate=arrival_rate,
-                    )
-        finally:
-            if pool is not None:
-                pool.shutdown()
+            with self.observer.profiler.phase("planner.objective"):
+                t_f = estimate_kv_transfer_time(
+                    self.ctx,
+                    self.model,
+                    batch.k_in,
+                    pre.stages,
+                    dec.stages,
+                )
+                est = ServiceEstimate(
+                    t_network_prefill=pre.t_network,
+                    t_compute_prefill=pre.t_compute,
+                    t_network_decode=dec.t_network,
+                    t_compute_decode=dec.t_compute,
+                    t_kv_transfer=t_f,
+                    mean_output_tokens=batch.k_out / batch.q,
+                )
+                # Concurrency is capped by the decode cluster's KV
+                # capacity: "insufficient memory to serve all requests"
+                # adds queueing.
+                topo = self.ctx.built.topology
+                dec_min_mem = min(
+                    topo.nodes[g].memory_bytes for st in dec.stages for g in st
+                )
+                budget = MemoryBudget(
+                    self.model,
+                    pall.p_tens_decode,
+                    pall.p_pipe_decode,
+                    dec_min_mem,
+                    r_frac=self.config.r_frac,
+                )
+                tokens_per_req = (batch.k_in + batch.k_out / 2.0) / batch.q
+                mem_conc = int(
+                    budget.max_cached_tokens() / max(tokens_per_req, 1)
+                )
+                # Decode concurrency: memory-limited, up to the
+                # continuous-batching width (the engine's default decode
+                # batch cap).
+                concurrency = max(1, min(64, mem_conc))
+                obj = evaluate_objective(
+                    est, arrival_rate, self.sla, concurrency=concurrency
+                )
+            if not obj.sla_ok and forced_parallel is None:
+                rejected.append(
+                    f"{pall}: SLA miss (TTFT {obj.t_prefill:.3f}s, "
+                    f"TPOT {obj.t_decode:.3f}s)"
+                )
+                log.debug(
+                    "rejected %s: SLA miss (TTFT %.3fs, TPOT %.3fs)",
+                    pall,
+                    obj.t_prefill,
+                    obj.t_decode,
+                )
+                continue
+            n_feasible += 1
+            if best_obj is None or obj.scalability > best_obj.scalability:
+                best_obj = obj
+                best = Plan(
+                    parallel=pall,
+                    scheme=self.scheme,
+                    prefill=PhasePlan(
+                        stages=pre.stages,
+                        comm=pre.comm,
+                        t_network=pre.t_network,
+                        t_compute=pre.t_compute,
+                    ),
+                    decode=PhasePlan(
+                        stages=dec.stages,
+                        comm=dec.comm,
+                        t_network=dec.t_network,
+                        t_compute=dec.t_compute,
+                    ),
+                    t_kv_transfer=t_f,
+                    t_prefill=obj.t_prefill,
+                    t_decode=obj.t_decode,
+                    scalability=obj.scalability,
+                    planned_rate=arrival_rate,
+                )
         wall = time.perf_counter() - t0
         cache_stats = self._solve_cache_stats(cache, stats_before)
         if best is None:
@@ -486,26 +432,10 @@ class OfflinePlanner:
         )
 
     def _estimate_candidate(
-        self, pall, batch, rng, pool
+        self, pall: ParallelConfig, batch: BatchSpec, rng: np.random.Generator
     ) -> tuple[_PhaseResult | None, _PhaseResult | None]:
-        """Estimate both phases of one candidate (threaded when async)."""
+        """Estimate prefill, then decode, of one candidate."""
         pre_rng, dec_rng = spawn(rng, 2)
-        if pool is not None:
-            f_pre = pool.submit(
-                self._estimate_prefill,
-                pall.p_tens_prefill,
-                pall.p_pipe_prefill,
-                batch,
-                pre_rng,
-            )
-            f_dec = pool.submit(
-                self._estimate_decode,
-                pall.p_tens_decode,
-                pall.p_pipe_decode,
-                batch,
-                dec_rng,
-            )
-            return f_pre.result(), f_dec.result()
         pre = self._estimate_prefill(
             pall.p_tens_prefill, pall.p_pipe_prefill, batch, pre_rng
         )
@@ -600,16 +530,39 @@ class OfflinePlanner:
 class ExhaustivePlanner(OfflinePlanner):
     """Reference planner without the paper's heuristics.
 
-    No candidate cap, sequential (non-asynchronous) estimation, and the
-    Dijkstra matrices recomputed per candidate instead of precomputed
-    once asynchronously — the configuration-sweep style of DistServe's
-    placement search. Used by ``bench_planner_time`` to reproduce the
-    §III-C3 solve-time comparison (the paper: 28.57 % faster).
+    No candidate cap, no estimation cache, and the Dijkstra matrices
+    recomputed per phase estimate instead of precomputed once — the
+    configuration-sweep style of DistServe's placement search. Used by
+    ``bench_planner_time`` to reproduce the §III-C3 solve-time comparison
+    (the paper: 28.57 % faster). The caller's ``config`` is copied, never
+    changed.
     """
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.config.max_candi = 10_000
-        self.config.asynchronous = False
-        self.config.precompute_routes = False
-        self.config.use_cache = False
+    def __init__(
+        self, *args, config: PlannerConfig | None = None, **kwargs
+    ) -> None:
+        config = replace(
+            config or PlannerConfig(), max_candi=10_000, use_cache=False
+        )
+        super().__init__(*args, config=config, **kwargs)
+
+    def _phase_ctx(self) -> CommContext:
+        """A fresh route table per phase estimate: the recomputation the
+        default planner's one precomputed table eliminates."""
+        from repro.network.routing import build_route_table
+        from repro.network.topology import LinkKind
+
+        exclude = (
+            None
+            if self.ctx.heterogeneous
+            else {LinkKind.NVLINK, LinkKind.PCIE}
+        )
+        return CommContext(
+            built=self.ctx.built,
+            route_table=build_route_table(
+                self.ctx.built.topology, exclude_kinds=exclude
+            ),
+            linkstate=self.ctx.linkstate,
+            agg_latency=self.ctx.agg_latency,
+            heterogeneous=self.ctx.heterogeneous,
+        )

@@ -246,12 +246,6 @@ class HealthRegistry:
             if k == kind and rec.down
         }
 
-    def any_down(self) -> bool:
-        return any(rec.down for rec in self._records.values())
-
-    def ever_faulted(self) -> bool:
-        return bool(self._records)
-
     # -- reductions ---------------------------------------------------------
 
     def mttr(self) -> float:

@@ -38,7 +38,7 @@ injector arms, which keeps example plans independent of concrete ids.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -179,9 +179,6 @@ class FaultPlan:
     @classmethod
     def empty(cls) -> "FaultPlan":
         return cls()
-
-    def with_seed(self, seed: int) -> "FaultPlan":
-        return replace(self, seed=seed)
 
     # -- (de)serialisation --------------------------------------------------
 

@@ -68,10 +68,6 @@ class ModelConfig:
         """Dense matmul FLOPs to process one prompt token (all layers)."""
         return 2.0 * self.n_layers * self.params_per_layer
 
-    def flops_per_token_decode(self) -> float:
-        """Dense matmul FLOPs to generate one token (all layers)."""
-        return 2.0 * self.n_layers * self.params_per_layer
-
 
 def _opt(name: str, L: int, h: int, A: int) -> ModelConfig:
     return ModelConfig(

@@ -238,10 +238,6 @@ class LinkLoadTracker:
             self.scale_links(ids, factor)
         return len(ids)
 
-    def scaled_links(self) -> dict[int, float]:
-        """Active intervention scales as ``{link_id: factor}``."""
-        return dict(self._scale)
-
     def load(self) -> np.ndarray:
         """Copy of the per-link registered load (bytes/s)."""
         return self._load.copy()

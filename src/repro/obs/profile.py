@@ -27,13 +27,11 @@ observed run, or a :class:`~repro.obs.observer.NullObserver` whose
 wanted — ``enabled`` stays ``False`` there, so no telemetry is emitted
 and simulated results stay byte-identical to an unobserved run.
 
-Thread-safe: the planner's asynchronous prefill/decode estimation runs
-phases from two worker threads concurrently.
+Not locked: the planner and the engine record from one thread.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -78,7 +76,6 @@ class PhaseProfiler:
         self._stats: dict[str, PhaseStat] = {}
         self._handlers: dict[str, PhaseStat] = {}
         self._counters: dict[str, int] = {}
-        self._lock = threading.Lock()
 
     @staticmethod
     def _add(stats: dict[str, PhaseStat], name: str, elapsed: float) -> None:
@@ -89,13 +86,11 @@ class PhaseProfiler:
         stat.count += 1
 
     def record(self, name: str, elapsed: float) -> None:
-        with self._lock:
-            self._add(self._stats, name, elapsed)
+        self._add(self._stats, name, elapsed)
 
     def record_handler(self, tag: str, elapsed: float) -> None:
         """Accumulate one event-handler firing under its event tag."""
-        with self._lock:
-            self._add(self._handlers, tag, elapsed)
+        self._add(self._handlers, tag, elapsed)
 
     @contextmanager
     def phase(self, name: str):
@@ -107,24 +102,19 @@ class PhaseProfiler:
 
     def count(self, name: str, n: int = 1) -> None:
         """Add ``n`` to the named event counter."""
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + n
+        self._counters[name] = self._counters.get(name, 0) + n
 
     def counters(self) -> dict[str, int]:
         """Counter name -> total, sorted by descending count."""
-        with self._lock:
-            items = sorted(self._counters.items(), key=lambda kv: -kv[1])
-        return dict(items)
+        return dict(sorted(self._counters.items(), key=lambda kv: -kv[1]))
 
     def breakdown(self) -> dict[str, PhaseStat]:
         """Phase -> stats, sorted by descending total time."""
-        with self._lock:
-            return _by_total(self._stats)
+        return _by_total(self._stats)
 
     def handlers(self) -> dict[str, PhaseStat]:
         """Event tag -> handler stats, sorted by descending total time."""
-        with self._lock:
-            return _by_total(self._handlers)
+        return _by_total(self._handlers)
 
     def phase_times(self) -> dict[str, float]:
         """Phase -> total seconds (the flat view reports embed)."""
@@ -161,10 +151,9 @@ class PhaseProfiler:
         return "\n".join(lines)
 
     def reset(self) -> None:
-        with self._lock:
-            self._stats.clear()
-            self._handlers.clear()
-            self._counters.clear()
+        self._stats.clear()
+        self._handlers.clear()
+        self._counters.clear()
 
 
 class _NullContext:

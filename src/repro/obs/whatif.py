@@ -321,9 +321,6 @@ class WhatIfProfiler:
     its own attribution collector — results stay byte-identical to an
     unobserved run); ``ladder()`` then ranks the catalog analytically
     and, with ``validate=True``, re-simulates every intervention.
-    A pre-collected :class:`AttributionCollector` (e.g. loaded from a
-    prior run's ``--obs-dir`` dump) can be supplied instead, in which
-    case only ``validate`` needs the live system.
     """
 
     def __init__(
@@ -363,15 +360,6 @@ class WhatIfProfiler:
         self.baseline_metrics = metrics
         self.baseline = stats_from_metrics(metrics)
         return metrics
-
-    def use_attributions(
-        self, collector: AttributionCollector
-    ) -> None:
-        """Adopt a pre-collected baseline (e.g. a ``--from-dir`` load)."""
-        self.collector = collector
-        self.baseline = self._stats_from_attributions(
-            collector.finished
-        )
 
     def _require_baseline(self) -> list[RequestAttribution]:
         if self.collector is None:
@@ -521,13 +509,6 @@ class WhatIfProfiler:
             c["queue_wait"] *= r_pre
             c["decode_wait"] *= r_dec
         return self._stats_from_components(attrs, scaled)
-
-    def _stats_from_attributions(
-        self, attrs: list[RequestAttribution]
-    ) -> RunStats:
-        return self._stats_from_components(
-            attrs, [a.components for a in attrs]
-        )
 
     def _stats_from_components(
         self,

@@ -9,8 +9,6 @@ comparison here is exact equality.
 """
 
 import functools
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -132,35 +130,6 @@ class TestLinkPathMemo:
             st.lists(st.integers(0, len(pairs) - 1), min_size=1, max_size=200)
         )
         _check_memo("xtracks-8x4", view, [pairs[i] for i in idx])
-
-    def test_threads_racing_on_cold_pairs_agree(self):
-        # The planner's estimation threads share one table: a duplicate
-        # miss must store the same tuple the other thread stored.
-        pairs = _gpu_pairs("xtracks-2x1") + _switch_pairs("xtracks-2x1")
-        reference = _table("xtracks-2x1", "hetero")
-        expect = {pair: reference.link_path(*pair) for pair in pairs}
-        shared = _table("xtracks-2x1", "hetero")
-        errors: list[tuple[int, int]] = []
-
-        def walk(order):
-            for u, v in order:
-                if shared.link_path(u, v) != expect[u, v]:
-                    errors.append((u, v))
-
-        orders = [pairs, pairs[::-1], pairs[1::2] + pairs[::2], pairs]
-        threads = [threading.Thread(target=walk, args=(o,)) for o in orders]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert errors == []
-        assert all(shared.link_path(*p) == expect[p] for p in pairs)
 
     def test_trivial_path_is_empty_tuple(self):
         assert _warm_table("testbed", "hetero").link_path(3, 3) == ()

@@ -1,5 +1,8 @@
 """Algorithm 2 network estimation and Algorithm 1 planner."""
 
+import threading
+from dataclasses import replace
+
 import pytest
 
 from repro.comm import CommContext, SchemeKind
@@ -151,7 +154,7 @@ class TestPlanner:
         assert any("insufficient" in r for r in rejected_msgs(rep))
 
     def test_deterministic_given_seed(self, het, bank):
-        cfg = PlannerConfig(seed=11, asynchronous=False)
+        cfg = PlannerConfig(seed=11)
         batch = BatchSpec.uniform(8, 256, 200)
         p1 = OfflinePlanner(
             het, OPT_66B, bank, SLA_TESTBED_CHATBOT, SchemeKind.HYBRID,
@@ -159,7 +162,7 @@ class TestPlanner:
         ).plan(batch, 0.3)
         p2 = OfflinePlanner(
             het, OPT_66B, bank, SLA_TESTBED_CHATBOT, SchemeKind.HYBRID,
-            config=PlannerConfig(seed=11, asynchronous=False),
+            config=PlannerConfig(seed=11),
         ).plan(batch, 0.3)
         assert p1.plan.parallel == p2.plan.parallel
         assert p1.plan.prefill.stages == p2.plan.prefill.stages
@@ -184,6 +187,42 @@ class TestPlanner:
         ).plan(batch, 0.3)
         assert fast.candidates_evaluated <= slow.candidates_evaluated
         assert slow.plan is not None
+
+    def test_exhaustive_leaves_caller_config_unchanged(self, homo, bank):
+        """A config shared with an ExhaustivePlanner keeps its cache and
+        candidate cap for the next planner built from it."""
+        cfg = PlannerConfig(seed=3)
+        before = replace(cfg)
+        slow = ExhaustivePlanner(
+            homo, OPT_66B, bank, SLA_TESTBED_CHATBOT, SchemeKind.RING,
+            config=cfg,
+        )
+        assert cfg == before
+        assert slow.config.max_candi == 10_000
+        assert not slow.config.use_cache
+        assert slow._active_cache() is None
+        fast = OfflinePlanner(
+            homo, OPT_66B, bank, SLA_TESTBED_CHATBOT, SchemeKind.RING,
+            config=cfg,
+        )
+        assert fast._active_cache() is not None
+
+    def test_plan_starts_no_thread(self, het, bank, monkeypatch):
+        """Both phase estimates run on the calling thread."""
+        batch = BatchSpec.uniform(8, 256, 200)
+
+        def plan():
+            return OfflinePlanner(
+                het, OPT_66B, bank, SLA_TESTBED_CHATBOT, SchemeKind.HYBRID
+            ).plan(batch, 0.3)
+
+        expected = repr(plan().plan)
+
+        def refuse(self):
+            raise AssertionError("the planner started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert repr(plan().plan) == expected
 
 
 def rejected_msgs(report):

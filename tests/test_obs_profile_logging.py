@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import logging
-import threading
 
 import pytest
 
@@ -52,26 +51,6 @@ class TestPhaseProfiler:
         p.record("small", 0.01)
         p.record("big", 1.0)
         assert list(p.breakdown()) == ["big", "small"]
-
-    def test_thread_safety(self):
-        """The planner's estimation threads and the engine share one
-        profiler: phases, handler times and counters all take the lock."""
-        p = PhaseProfiler()
-
-        def worker():
-            for _ in range(500):
-                p.record("t", 0.001)
-                p.record_handler("tag", 0.001)
-                p.count("n")
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert p.breakdown()["t"].count == 2000
-        assert p.handlers()["tag"].count == 2000
-        assert p.counters()["n"] == 2000
 
     def test_record_handler_accumulates(self):
         p = PhaseProfiler()
