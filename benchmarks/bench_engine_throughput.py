@@ -5,27 +5,38 @@ numbers), this one measures the *reproduction*: how many requests per
 host wall-clock second the discrete-event engine simulates, and where
 its Python time goes (event-queue handlers by tag, batch formation,
 link-load bookkeeping, controller ticks). The measurement harness is the
-one host-time profiler, :class:`repro.obs.PhaseProfiler`, attached as
-the ``profiler`` of an otherwise disabled
-:class:`~repro.obs.NullObserver`, so the simulated *results* stay
-byte-identical to an unobserved run and the throughput number prices
-the simulator, not the telemetry. The profiler records the event loop
-as the ``engine.run`` section plus ``engine.requests_finished`` /
-``engine.events_fired`` counters; requests/sec and events/sec are
-derived from those here. Each setting's simulation runs ``REPEATS``
-times over one built system and the run with the median requests/sec
-is recorded: a single ~0.25 s run spreads too widely on a shared host
-for the 25 % gate below.
+one host-time profiler, :class:`repro.obs.PhaseProfiler`, carried by
+an observer with no subscribers (``Observer.silent(profiler=...)``),
+so the simulated *results* stay byte-identical to an unobserved run
+and the throughput number prices the simulator, not the telemetry. The
+profiler records the event loop as the ``engine.run`` section plus
+``engine.requests_finished`` / ``engine.events_fired`` counters;
+requests/sec and events/sec are derived from those here.
+
+On a shared host the same code reads very different requests/sec from
+one minute to the next. So before each timed simulation the bench times
+:func:`reference_work`, a fixed pure-Python workload that does not touch
+the program, and records ``scaled_requests_per_s``: the raw number times
+``reference_s / REFERENCE_S``, i.e. requests per *reference second*.
+Each setting's simulation runs ``REPEATS`` times over one built system
+and the run with the median scaled requests/sec is recorded, raw and
+scaled side by side.
 
 Results land in ``engine_throughput.txt`` (tables) and
 ``BENCH_engine.json`` (the machine-readable perf baseline the CI
-perf-smoke job gates on: a >25 % drop in requests-simulated/sec on
-any setting fails the build, and so does any change to a setting's
+perf-smoke job gates on: a >25 % drop in scaled requests/sec on any
+setting fails the build, and so does any change to a setting's
 work counts — ``events_fired``, ``requests_finished`` and the link
 tracker's ``network_writes``/``network_registrations`` — which are
 simulated counts and do not depend on the host). The ROADMAP's
 engine-vectorization work is measured against this file.
 """
+
+import gc
+import heapq
+import math
+import random
+import time
 
 import pytest
 
@@ -34,7 +45,7 @@ from repro.baselines import HEROSERVE, build_system, simulate_trace
 from repro.core.plan import ParallelConfig
 from repro.llm import OPT_66B, OPT_175B
 from repro.network import build_testbed, build_xtracks_cluster
-from repro.obs import NullObserver, PhaseProfiler
+from repro.obs import Observer, PhaseProfiler
 from repro.serving import EngineConfig
 
 from common import (
@@ -56,6 +67,9 @@ from repro.util.tables import format_table
 DURATION = 60.0
 #: Timed simulations per setting; the recorded run is the median one.
 REPEATS = 5
+#: Host seconds :func:`reference_work` takes on a 2-vCPU VM: the host
+#: speed that ``scaled_requests_per_s`` is expressed at.
+REFERENCE_S = 0.1
 #: Per-run work counts: simulated, so equal across repeats and hosts.
 WORK = (
     "requests_finished",
@@ -95,8 +109,41 @@ SETTINGS = {
 }
 
 
+def reference_work(n_jobs: int = 50_000) -> float:
+    """A fixed, seeded job queue in pure Python: the mix the engine
+    spends its time on (heap pushes and pops, small lists, dict lookups,
+    float arithmetic). Returns a checksum so none of it can be skipped."""
+    rng = random.Random(12345)
+    heap: list = []
+    live: dict = {}
+    clock = total = 0.0
+    for i in range(n_jobs):
+        clock += rng.expovariate(5.0)
+        heapq.heappush(heap, (clock, i))
+        live[i] = [rng.expovariate(1.0), 0.0]
+        while heap and heap[0][0] <= clock:
+            t, j = heapq.heappop(heap)
+            job = live[j]
+            job[0] -= 0.3
+            job[1] += 0.3
+            if job[0] <= 0.0:
+                total += math.sqrt(live.pop(j)[1])
+            else:
+                heapq.heappush(heap, (t + 0.3, j))
+    return total
+
+
+def time_reference() -> float:
+    """Wall seconds of one :func:`reference_work` call."""
+    gc.collect()
+    t0 = time.perf_counter()
+    reference_work()
+    return time.perf_counter() - t0
+
+
 def profile_setting(spec: dict) -> dict:
-    """The median of ``REPEATS`` profiled runs of one built system."""
+    """The median of ``REPEATS`` profiled runs of one built system, each
+    timed right after the host-speed reference."""
     built = spec["builder"]()
     trace = chatbot_trace(spec["rate"], DURATION, seed=BENCH_SEED)
     system = build_system(
@@ -109,10 +156,16 @@ def profile_setting(spec: dict) -> dict:
         arrival_rate=spec["rate"],
         forced_parallel=spec["parallel"],
     )
-    runs = sorted(
-        (profile_run(system, trace) for _ in range(REPEATS)),
-        key=lambda run: run["requests_per_s"],
-    )
+    runs = []
+    for _ in range(REPEATS):
+        reference_s = time_reference()
+        run = profile_run(system, trace)
+        run["reference_s"] = reference_s
+        run["scaled_requests_per_s"] = (
+            run["requests_per_s"] * reference_s / REFERENCE_S
+        )
+        runs.append(run)
+    runs.sort(key=lambda run: run["scaled_requests_per_s"])
     for key in WORK:
         counts = [run[key] for run in runs]
         assert len(set(counts)) == 1, (key, counts)
@@ -121,8 +174,8 @@ def profile_setting(spec: dict) -> dict:
 
 def profile_run(system, trace) -> dict:
     """One profiled simulation; returns its throughput and tables."""
-    observer = NullObserver()
-    observer.profiler = profiler = PhaseProfiler()
+    profiler = PhaseProfiler()
+    observer = Observer.silent(profiler=profiler)
     metrics = simulate_trace(
         system, trace, engine_config=EngineConfig(observer=observer)
     )
@@ -158,13 +211,19 @@ def run_engine_profile() -> dict[str, dict]:
 def baseline_payload(snaps: dict[str, dict]) -> dict:
     """The BENCH_engine.json structure (see docs/PERFORMANCE.md).
 
-    ``requests_per_s`` is the gated number; section/handler tables are
-    recorded so a regression can be attributed without re-profiling.
+    ``scaled_requests_per_s`` is the gated number, next to the raw
+    ``requests_per_s`` and the ``reference_s`` that scaled it;
+    section/handler tables are recorded so a regression can be
+    attributed without re-profiling.
     """
     settings = {}
     for label, snap in snaps.items():
         settings[label] = {
             "requests_per_s": round(snap["requests_per_s"], 1),
+            "reference_s": round(snap["reference_s"], 4),
+            "scaled_requests_per_s": round(
+                snap["scaled_requests_per_s"], 1
+            ),
             "events_per_s": round(snap["events_per_s"], 1),
             "wall_s": round(snap["wall_s"], 4),
             **{key: snap[key] for key in WORK},
@@ -198,16 +257,22 @@ def test_engine_throughput(benchmark):
                 str(snap["events_fired"]),
                 f"{snap['wall_s']:.3f}",
                 f"{snap['requests_per_s']:.0f}",
+                f"{snap['reference_s']:.3f}",
+                f"{snap['scaled_requests_per_s']:.0f}",
                 f"{snap['events_per_s']:.0f}",
             ]
         )
     table = format_table(
-        ["setting", "requests", "events", "wall s", "req/s", "ev/s"],
+        [
+            "setting", "requests", "events", "wall s", "req/s", "ref s",
+            "scaled req/s", "ev/s",
+        ],
         rows,
         title=(
             "Engine throughput: requests simulated per host wall-clock "
-            f"second, median of {REPEATS} runs (profile-only NullObserver "
-            "— results byte-identical to an unobserved run)"
+            f"second, median of {REPEATS} runs by scaled req/s (req/s x "
+            f"ref s / {REFERENCE_S:g}; profile-only observer, results "
+            "byte-identical to an unobserved run)"
         ),
     )
     reports = "\n\n".join(snap["report"] for snap in snaps.values())

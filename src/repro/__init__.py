@@ -69,7 +69,6 @@ from repro.llm import (
 from repro.network import build_testbed, build_xtracks_cluster
 from repro.obs import (
     MetricsRegistry,
-    NullObserver,
     Observer,
     PhaseProfiler,
     TraceRecorder,
@@ -161,7 +160,6 @@ __all__ = [
     "build_testbed",
     "build_xtracks_cluster",
     "MetricsRegistry",
-    "NullObserver",
     "Observer",
     "PhaseProfiler",
     "TraceRecorder",

@@ -21,6 +21,7 @@ from repro.comm.scheme import SchemeKind, get_scheme
 from repro.core.scheduler import CommDecision, LoadAwareScheduler
 from repro.faults.health import HealthRegistry
 from repro.obs.logging_config import get_logger
+from repro.obs.events import Failover, HealthTransition
 from repro.obs.observer import NULL_OBSERVER
 
 log = get_logger(__name__)
@@ -131,9 +132,10 @@ class CentralController:
                 edge.state,
                 now,
             )
-            self.observer.health_transition(
-                now, edge.kind, edge.resource, edge.state, edge.detail
-            )
+            if self.observer.active:
+                self.observer.emit(HealthTransition(
+                    now, edge.kind, edge.resource, edge.state, edge.detail
+                ))
         for key, sched in self._schedulers.items():
             changed, degraded = sched.apply_health(self.health)
             if not changed:
@@ -145,7 +147,8 @@ class CentralController:
             if degraded:
                 self.health.failovers += 1
             log.info("failover: group %s %s at t=%.3f", key, direction, now)
-            self.observer.failover(now, key, direction)
+            if self.observer.active:
+                self.observer.emit(Failover(now, key, direction))
 
     def n_groups(self) -> int:
         """Number of registered GPU groups."""

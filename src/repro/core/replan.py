@@ -53,6 +53,7 @@ from repro.core.planner import OfflinePlanner, PlannerConfig
 from repro.faults.health import HoldDown, SustainedThreshold
 from repro.llm.batch import BatchSpec
 from repro.obs.logging_config import get_logger
+from repro.obs.events import ReplanEvent
 from repro.obs.observer import NULL_OBSERVER
 
 log = get_logger(__name__)
@@ -398,8 +399,11 @@ class OnlineReplanner:
         self.cooldown.start(now)
         self.detector.reset()
         log.info("replan suppressed (%s) at t=%.3f: %s", reason, now, why)
-        self.obs.replan_event(now, "replan_suppressed", reason=reason,
-                              why=why)
+        self._emit(now, "replan_suppressed", reason=reason, why=why)
+
+    def _emit(self, now: float, event: str, **detail) -> None:
+        if self.obs.active:
+            self.obs.emit(ReplanEvent(now, event, detail))
 
     def _trigger(self, now: float, reason: str) -> None:
         eng = self._engine
@@ -452,7 +456,7 @@ class OnlineReplanner:
             "replan triggered (%s) at t=%.3f: %s -> %s",
             reason, now, self._rec.from_plan, self._rec.to_plan,
         )
-        self.obs.replan_event(
+        self._emit(
             now, "replan_triggered", reason=reason,
             from_plan=self._rec.from_plan, to_plan=self._rec.to_plan,
         )
@@ -486,7 +490,7 @@ class OnlineReplanner:
             return
         self.state = "migrate"
         self._rec.quiesced_at = now
-        self.obs.replan_event(now, "plan_transition", phase="quiesced")
+        self._emit(now, "plan_transition", phase="quiesced")
         self._start_migration(attempt=0)
 
     def _resident_kv_tokens(self) -> int:
@@ -519,7 +523,7 @@ class OnlineReplanner:
             delay = eng.faults.backoff(attempt)
             self.stats.migrate_retries += 1
             self._rec.migrate_retries += 1
-            self.obs.replan_event(
+            self._emit(
                 now, "plan_transition", phase="migrate_retry",
                 attempt=attempt, delay_s=delay,
             )
@@ -551,7 +555,7 @@ class OnlineReplanner:
             for links, nbytes in flows
             if links
         ]
-        self.obs.replan_event(
+        self._emit(
             now, "plan_transition", phase="migrate",
             kv_tokens=tokens, kv_bytes=moved, eta_s=duration,
         )
@@ -577,7 +581,7 @@ class OnlineReplanner:
     def _enter_warm(self, now: float) -> None:
         eng = self._engine
         self.state = "warm"
-        self.obs.replan_event(
+        self._emit(
             now, "plan_transition", phase="warm",
             warm_s=self.cfg.warm_time_s,
         )
@@ -620,7 +624,7 @@ class OnlineReplanner:
             "moved, %d requests delayed)",
             now, rec.duration, self._migrate_bytes / 1e6, delayed,
         )
-        self.obs.replan_event(
+        self._emit(
             now, "transition_complete", reason=rec.reason,
             from_plan=rec.from_plan, to_plan=rec.to_plan,
             duration_s=rec.duration, kv_bytes=rec.kv_bytes,
@@ -657,7 +661,7 @@ class OnlineReplanner:
             "plan transition rolled back at t=%.3f (%s); keeping %s",
             now, why, rec.from_plan,
         )
-        self.obs.replan_event(
+        self._emit(
             now, "transition_rollback", why=why,
             from_plan=rec.from_plan, to_plan=rec.to_plan,
             duration_s=rec.duration,

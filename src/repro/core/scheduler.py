@@ -36,6 +36,7 @@ from repro.comm.scheme import (
     rank_switches,  # noqa: F401  (compat re-export)
 )
 from repro.core.policy import Policy, PolicyCostTable
+from repro.obs.events import PolicySelected
 from repro.obs.observer import NULL_OBSERVER
 
 
@@ -148,9 +149,9 @@ class LoadAwareScheduler:
             self.table.refresh_utilization(self.ctx.linkstate)
         policy = self.table.select(data_bytes)
         t = self._estimate_time(policy, data_bytes)
-        if self.observer.enabled:
-            self.observer.policy_selected(
-                tuple(self.gpus), policy.name, policy.mode
+        if self.observer.active:
+            self.observer.emit(
+                PolicySelected(tuple(self.gpus), policy.name, policy.mode)
             )
         return CommDecision(policy=policy, step_time=t, links=policy.links)
 

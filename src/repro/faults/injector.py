@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING
 from repro.faults.health import HealthRegistry
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.network.topology import LinkKind
+from repro.obs.events import FaultInjected
 from repro.obs.observer import NULL_OBSERVER
 from repro.util.rng import make_rng
 
@@ -182,7 +183,8 @@ class FaultInjector:
         self.counters.by_kind[ev.kind] = (
             self.counters.by_kind.get(ev.kind, 0) + 1
         )
-        self.obs.fault_injected(now, ev.kind, rid)
+        if self.obs.active:
+            self.obs.emit(FaultInjected(now, ev.kind, rid))
         if ev.kind == "switch_down":
             self.health.mark_down("switch", rid, now)
             dp = self._dataplanes.get(rid)

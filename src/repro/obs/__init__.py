@@ -1,8 +1,10 @@
 """Observability: tracing, metrics registry, profiling, logging.
 
 Three pillars threaded through the simulator and schedulers by a single
-:class:`Observer` handle (default :class:`NullObserver` — zero overhead
-when disabled):
+:class:`Observer` handle. Every layer reports through
+``Observer.emit(event)`` with an event from :mod:`repro.obs.events`,
+guarded by ``if obs.active:``; the default :data:`NULL_OBSERVER` has no
+subscribers, so an unobserved run builds no event:
 
 * :mod:`repro.obs.trace` — request/batch/all-reduce spans exportable as
   JSONL or Chrome ``chrome://tracing`` JSON;
@@ -52,7 +54,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     default_latency_buckets,
 )
-from repro.obs.observer import NULL_OBSERVER, NullObserver, Observer
+from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.obs.profile import (
     NULL_PROFILER,
     NullProfiler,
@@ -120,7 +122,6 @@ __all__ = [
     "MetricsRegistry",
     "default_latency_buckets",
     "NULL_OBSERVER",
-    "NullObserver",
     "Observer",
     "NULL_PROFILER",
     "NullProfiler",

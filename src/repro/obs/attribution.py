@@ -3,12 +3,13 @@
 The observability layer of PRs 1-2 answers *what* the TTFT/TPOT
 percentiles are; this module answers *where the time went* for each
 request. An :class:`AttributionCollector` (attached to an
-:class:`~repro.obs.observer.Observer` via ``attribution=``) causally
-links the engine's per-request hooks — arrival, prefill/decode passes,
-all-reduce slices, KV transfers, fault retries/requeues — into one
-:class:`RequestTimeline` per ``request_id``, then, on finish, folds the
-timeline into a :class:`RequestAttribution`: the request's end-to-end
-latency decomposed along its critical path into named components.
+:class:`~repro.obs.observer.Observer` via ``attribution=``) subscribes to
+the engine's per-request events — arrival, prefill/decode passes,
+all-reduce slices, KV transfers, fault retries/requeues — and links
+them into one :class:`RequestTimeline` per ``request_id``, then, on
+finish, folds the timeline into a :class:`RequestAttribution`: the
+request's end-to-end latency decomposed along its critical path into
+named components.
 
 The decomposition telescopes **exactly**: every boundary is a recorded
 simulation timestamp and every compute share is derived by subtracting
@@ -46,13 +47,13 @@ i.e. the contention the policy actually priced against.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from functools import partial
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.serving.request import RequestState
+from repro.obs import events as ev
 
 __all__ = [
     "CRITICAL_PATH_COMPONENTS",
@@ -94,22 +95,18 @@ class AllreduceShare:
     bottleneck_util: float = 0.0
     switch: int | None = None
 
-    def merge(
-        self,
-        dur: float,
-        link: int | None,
-        kind: str,
-        util: float,
-        switch: int | None,
-    ) -> None:
-        self.seconds += dur
+    def merge(self, e: ev.AllreduceSpan) -> None:
+        self.seconds += e.dur
         self.count += 1
-        if link is not None and util >= self.bottleneck_util:
-            self.bottleneck_link = link
-            self.bottleneck_kind = kind
-            self.bottleneck_util = util
-        if switch is not None:
-            self.switch = switch
+        if (
+            e.bottleneck_link is not None
+            and e.bottleneck_util >= self.bottleneck_util
+        ):
+            self.bottleneck_link = e.bottleneck_link
+            self.bottleneck_kind = e.bottleneck_kind
+            self.bottleneck_util = e.bottleneck_util
+        if e.switch is not None:
+            self.switch = e.switch
 
     def to_dict(self) -> dict:
         """JSON-ready form (round-trips via :meth:`from_dict`)."""
@@ -164,38 +161,32 @@ class RequestTimeline:
         default_factory=dict
     )
 
-    def on_prefill(self, start: float, t_comm: float) -> None:
+    def on_prefill(self, e: ev.PrefillSpan) -> None:
         if math.isnan(self.first_prefill_start):
-            self.first_prefill_start = start
-        self.prefill_comm = t_comm
+            self.first_prefill_start = e.start
+        self.prefill_comm = e.t_comm
 
-    def on_allreduce(
-        self,
-        phase: str,
-        policy: str,
-        dur: float,
-        link: int | None,
-        kind: str,
-        util: float,
-        switch: int | None,
-    ) -> None:
-        key = (phase, policy)
+    def on_allreduce(self, e: ev.AllreduceSpan) -> None:
+        key = (e.phase, e.policy)
         share = self.allreduce.get(key)
         if share is None:
-            share = self.allreduce[key] = AllreduceShare(policy, phase)
-        share.merge(dur, link, kind, util, switch)
+            share = self.allreduce[key] = AllreduceShare(e.policy, e.phase)
+        share.merge(e)
 
-    def on_kv_span(self, dur: float) -> None:
+    def on_kv_span(self, e: ev.KvTransferSpan) -> None:
         # Latest wins: a transfer cancelled by a failover is superseded
         # by the retried one; the lost partial time lands in the
         # kv_retry_backoff component, not in kv_transfer.
-        self.kv_span = dur
+        self.kv_span = e.dur
 
-    def on_decode(self, t_comm: float) -> None:
-        self.decode_comm += t_comm
+    def on_kv_retry(self, e: ev.KvRetry) -> None:
+        self.kv_retries += 1
+
+    def on_decode(self, e: ev.DecodeSpan) -> None:
+        self.decode_comm += e.t_comm
         self.decode_iters += 1
 
-    def on_requeued(self) -> None:
+    def on_requeued(self, e: ev.RequestsRequeued) -> None:
         """A failure wiped this request's progress: redo from prefill.
 
         Per-attempt accumulators reset so the fresh attempt is measured
@@ -290,6 +281,18 @@ class RequestAttribution:
         return ""
 
 
+#: Batch events, each applied to the timeline of every in-flight request
+#: it names.
+_TIMELINE_STEPS: dict[type, Callable] = {
+    ev.PrefillSpan: RequestTimeline.on_prefill,
+    ev.AllreduceSpan: RequestTimeline.on_allreduce,
+    ev.KvTransferSpan: RequestTimeline.on_kv_span,
+    ev.KvRetry: RequestTimeline.on_kv_retry,
+    ev.DecodeSpan: RequestTimeline.on_decode,
+    ev.RequestsRequeued: RequestTimeline.on_requeued,
+}
+
+
 class AttributionCollector:
     """Links observer events into per-request critical-path budgets.
 
@@ -304,79 +307,37 @@ class AttributionCollector:
         #: finished attributions, in finish order
         self.finished: list[RequestAttribution] = []
 
-    # -- event intake (called by Observer hooks) ------------------------
+    # -- event intake (an Observer subscriber) ------------------------
 
-    def on_arrival(self, ts: float, req: "RequestState") -> None:
-        self.live[req.request_id] = RequestTimeline(
-            request_id=req.request_id, arrival=ts
-        )
+    def subscriptions(self) -> dict[type, Callable]:
+        """``{event type: handler}`` for :class:`~repro.obs.Observer`."""
+        subs: dict[type, Callable] = {
+            ev.RequestArrival: self.on_arrival,
+            ev.RequestDropped: self.on_dropped,
+            ev.RequestFinished: self.on_finished,
+            ev.RunFinished: self.on_run_finished,
+        }
+        for etype, step in _TIMELINE_STEPS.items():
+            subs[etype] = partial(self._each_live, step)
+        return subs
 
-    def on_dropped(self, ts: float, req: "RequestState") -> None:
-        self.live.pop(req.request_id, None)
-
-    def on_prefill(
-        self, start: float, request_ids: tuple[int, ...], t_comm: float
-    ) -> None:
-        for rid in request_ids:
+    def _each_live(self, step: Callable, e) -> None:
+        for rid in e.request_ids:
             tl = self.live.get(rid)
             if tl is not None:
-                tl.on_prefill(start, t_comm)
+                step(tl, e)
 
-    def on_allreduce(
-        self,
-        phase: str,
-        request_ids: tuple[int, ...],
-        policy: str,
-        dur: float,
-        bottleneck_link: int | None,
-        bottleneck_kind: str,
-        bottleneck_util: float,
-        switch: int | None,
-    ) -> None:
-        for rid in request_ids:
-            tl = self.live.get(rid)
-            if tl is not None:
-                tl.on_allreduce(
-                    phase,
-                    policy,
-                    dur,
-                    bottleneck_link,
-                    bottleneck_kind,
-                    bottleneck_util,
-                    switch,
-                )
+    def on_arrival(self, e: ev.RequestArrival) -> None:
+        rid = e.req.request_id
+        self.live[rid] = RequestTimeline(request_id=rid, arrival=e.ts)
 
-    def on_kv_span(
-        self, dur: float, request_ids: tuple[int, ...]
-    ) -> None:
-        for rid in request_ids:
-            tl = self.live.get(rid)
-            if tl is not None:
-                tl.on_kv_span(dur)
-
-    def on_kv_retry(self, request_ids: tuple[int, ...]) -> None:
-        for rid in request_ids:
-            tl = self.live.get(rid)
-            if tl is not None:
-                tl.kv_retries += 1
-
-    def on_decode(
-        self, request_ids: tuple[int, ...], t_comm: float
-    ) -> None:
-        for rid in request_ids:
-            tl = self.live.get(rid)
-            if tl is not None:
-                tl.on_decode(t_comm)
-
-    def on_requeued(self, request_ids: tuple[int, ...]) -> None:
-        for rid in request_ids:
-            tl = self.live.get(rid)
-            if tl is not None:
-                tl.on_requeued()
+    def on_dropped(self, e: ev.RequestDropped) -> None:
+        self.live.pop(e.req.request_id, None)
 
     # -- finalisation ----------------------------------------------------
 
-    def on_finished(self, ts: float, req: "RequestState") -> None:
+    def on_finished(self, e: ev.RequestFinished) -> None:
+        req = e.req
         tl = self.live.pop(req.request_id, None)
         if tl is None:
             return
@@ -416,6 +377,13 @@ class AttributionCollector:
                 decode_iters=tl.decode_iters,
             )
         )
+
+    def on_run_finished(self, e: ev.RunFinished) -> None:
+        """Fold the fleet-wide budget into the run's
+        :class:`~repro.serving.metrics.ServingMetrics` (``cp_*`` summary
+        keys) once any request was attributed."""
+        if self.finished:
+            e.sim.metrics.attribution_stats = self.fleet_summary()
 
     # -- fleet reductions ------------------------------------------------
 

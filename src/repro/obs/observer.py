@@ -1,15 +1,21 @@
-"""The observer: one handle bundling tracing, metrics and profiling.
+"""The observer: one telemetry channel into tracing, metrics and sinks.
 
 A single :class:`Observer` is threaded through
 :class:`~repro.serving.engine.EngineConfig`,
 :class:`~repro.core.controller.CentralController`,
 :class:`~repro.core.scheduler.LoadAwareScheduler` and
-:class:`~repro.core.planner.OfflinePlanner`. Call sites invoke small
-semantic hooks (``request_finished``, ``allreduce_span``,
-``controller_tick`` ...) instead of talking to the recorder directly, so
-the disabled path — :class:`NullObserver`, the default everywhere — is a
-handful of no-op method calls guarded by an ``enabled`` flag and the
+:class:`~repro.core.planner.OfflinePlanner`. Every layer reports
+through one call, ``emit(event)`` with an event from
+:mod:`repro.obs.events`, always guarded by ``if obs.active:``. At
+construction the observer builds a ``type(event) -> handlers`` table
+from the subscribers present: its own metric instruments and trace
+spans, then the flight recorder, the SLO monitor and the attribution
+collector. An absent sink is simply not subscribed.
+
+The default everywhere, :data:`NULL_OBSERVER`, has no subscribers:
+``active`` is ``False``, no call site builds an event, and the
 simulator's behaviour and output stay byte-identical to an unobserved
+run. :meth:`Observer.silent` with a live profiler is a profile-only
 run.
 
 This mirrors the paper's §III-D monitoring agents: DCGM / switch
@@ -22,47 +28,32 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from typing import TYPE_CHECKING
 
+from repro.obs import events as ev
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import NULL_PROFILER, PhaseProfiler
 from repro.obs.trace import REQUEST_PID, TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
-    from repro.network.linkstate import LinkLoadTracker
     from repro.obs.attribution import AttributionCollector
     from repro.obs.recorder import FlightRecorder
     from repro.obs.slo import SLOMonitor
-    from repro.serving.engine import ServingSimulator
-    from repro.serving.request import RequestState
 
-__all__ = ["Observer", "NullObserver", "NULL_OBSERVER"]
+__all__ = ["Observer", "NULL_OBSERVER"]
 
 #: Sampled per-link gauges skip links quieter than this utilisation, so
 #: one busy fabric link is visible without exporting thousands of zeros.
 LINK_GAUGE_MIN_UTIL = 0.01
 
 
-def _span_if_valid(
-    trace: TraceRecorder,
-    track: str,
-    name: str,
-    start: float,
-    end: float,
-    tid: int,
-    **args,
-) -> None:
-    if math.isnan(start) or math.isnan(end) or end < start:
-        return
-    trace.complete(
-        track, name, start, end - start, pid=REQUEST_PID, tid=tid, **args
-    )
+def _group(group: tuple[int, ...]) -> str:
+    return "-".join(str(g) for g in group)
 
 
 class Observer:
-    """Recording observer: traces + metrics + profiling all live."""
-
-    enabled = True
+    """Recording observer: :meth:`emit` fans events out to subscribers."""
 
     def __init__(
         self,
@@ -78,9 +69,9 @@ class Observer:
         self.metrics = metrics or MetricsRegistry()
         self.profiler = profiler or PhaseProfiler()
         #: optional burn-rate SLO monitor, fed on request finishes and
-        #: evaluated on ``engine_tick``
+        #: evaluated on engine ticks
         self.slo = slo
-        #: optional flight recorder, sampled on ``engine_tick``
+        #: optional flight recorder, sampled on engine ticks
         self.recorder = recorder
         #: optional per-request critical-path attribution collector
         self.attribution = attribution
@@ -141,218 +132,194 @@ class Observer:
             "repro_kv_cache_utilization", "decode KV cache occupancy"
         )
 
+        self._handlers: dict[type, tuple[Callable, ...]] = {}
+        self.subscribe(self._subscriptions())
+        if recorder is not None:
+            self.subscribe(recorder.subscriptions())
+        if slo is not None:
+            self.subscribe({
+                ev.RequestFinished: lambda e: slo.record_request(e.ts, e.req),
+                ev.EngineTick: self._burn_slos,
+            })
+        if attribution is not None:
+            self.subscribe(attribution.subscriptions())
+
+    @classmethod
+    def silent(cls, profiler: PhaseProfiler = NULL_PROFILER) -> "Observer":
+        """An observer with no subscribers: ``active`` is ``False``.
+
+        With a live ``profiler`` it is a profile-only run: the engine,
+        controller and planner time themselves through ``profiler``
+        while no event is built, so results stay byte-identical.
+        """
+        obs = cls.__new__(cls)
+        obs.trace = obs.metrics = None
+        obs.slo = obs.recorder = obs.attribution = None
+        obs.profiler = profiler
+        obs._handlers = {}
+        obs.active = False
+        return obs
+
+    def subscribe(self, handlers: dict[type, Callable]) -> None:
+        """Add one subscriber, ``{event type: handler}``; its handlers
+        run after those of earlier subscribers."""
+        for etype, handler in handlers.items():
+            self._handlers[etype] = self._handlers.get(etype, ()) + (handler,)
+        #: whether any subscriber listens; call sites build and emit
+        #: events only when it is set
+        self.active = bool(self._handlers)
+
+    def emit(self, event) -> None:
+        """Hand ``event`` to each subscriber of its type, in order."""
+        for handler in self._handlers.get(type(event), ()):
+            handler(event)
+
+    def _subscriptions(self) -> dict[type, Callable]:
+        """The observer's own metric instruments and trace spans."""
+        return {
+            ev.RequestArrival: self._request_arrival,
+            ev.RequestDropped: self._request_dropped,
+            ev.RequestFinished: self._request_finished,
+            ev.PrefillSpan: self._prefill_span,
+            ev.DecodeSpan: self._decode_span,
+            ev.KvTransferSpan: self._kv_transfer_span,
+            ev.AllreduceSpan: self._allreduce_span,
+            ev.PolicySelected: self._policy_selected,
+            ev.ControllerTick: self._controller_tick,
+            ev.SampleLinks: self._sample_links,
+            ev.KvSample: self._kv_sample,
+            ev.FaultInjected: self._fault_injected,
+            ev.HealthTransition: self._health_transition,
+            ev.Failover: self._failover,
+            ev.KvRetry: self._kv_retry,
+            ev.RequestsRequeued: self._requests_requeued,
+            ev.ReplanEvent: self._replan_event,
+            ev.RouteDecision: self._route_decision,
+            ev.FleetAllDegraded: self._fleet_all_degraded,
+        }
+
     # -- request lifecycle --------------------------------------------------
 
-    def request_arrival(self, ts: float, req: "RequestState") -> None:
+    def _request_arrival(self, e: ev.RequestArrival) -> None:
         self._requests.inc(event="arrival")
-        if self.attribution is not None:
-            self.attribution.on_arrival(ts, req)
+        req = e.req
         self.trace.instant(
             "requests",
             "arrival",
-            ts,
+            e.ts,
             request_id=req.request_id,
             input_len=req.input_len,
             output_len=req.output_len,
         )
 
-    def request_dropped(self, ts: float, req: "RequestState") -> None:
+    def _request_dropped(self, e: ev.RequestDropped) -> None:
         self._requests.inc(event="dropped")
-        if self.attribution is not None:
-            self.attribution.on_dropped(ts, req)
         self.trace.instant(
-            "requests", "dropped", ts, request_id=req.request_id
+            "requests", "dropped", e.ts, request_id=e.req.request_id
         )
 
-    def request_finished(self, ts: float, req: "RequestState") -> None:
+    def _request_finished(self, e: ev.RequestFinished) -> None:
         """Stream latency histograms and emit the lifecycle swimlane."""
+        req = e.req
         self._requests.inc(event="finished")
         self._ttft.observe(req.ttft)
         self._tpot.observe(req.tpot)
-        if self.slo is not None:
-            self.slo.record_request(ts, req)
-        if self.attribution is not None:
-            self.attribution.on_finished(ts, req)
-        t = self.trace
         rid = req.request_id
-        _span_if_valid(
-            t,
-            "requests",
-            "queued",
-            req.arrival_time,
-            req.prefill_start,
-            rid,
-            request_id=rid,
-        )
-        _span_if_valid(
-            t,
-            "requests",
-            "prefill",
-            req.prefill_start,
-            req.first_token_time,
-            rid,
-            request_id=rid,
-            input_len=req.input_len,
-        )
-        _span_if_valid(
-            t,
-            "requests",
-            "kv_transfer",
-            req.first_token_time,
-            req.kv_done_time,
-            rid,
-            request_id=rid,
-        )
-        _span_if_valid(
-            t,
-            "requests",
-            "decode_wait",
-            req.kv_done_time,
-            req.decode_start,
-            rid,
-            request_id=rid,
-        )
-        _span_if_valid(
-            t,
-            "requests",
-            "decode",
-            req.decode_start,
-            req.finish_time,
-            rid,
-            request_id=rid,
-            output_len=req.output_len,
-            ttft_s=req.ttft,
-            tpot_s=req.tpot,
-        )
+        for name, start, end, extra in (
+            ("queued", req.arrival_time, req.prefill_start, {}),
+            ("prefill", req.prefill_start, req.first_token_time,
+             {"input_len": req.input_len}),
+            ("kv_transfer", req.first_token_time, req.kv_done_time, {}),
+            ("decode_wait", req.kv_done_time, req.decode_start, {}),
+            ("decode", req.decode_start, req.finish_time,
+             {"output_len": req.output_len, "ttft_s": req.ttft,
+              "tpot_s": req.tpot}),
+        ):
+            if math.isnan(start) or math.isnan(end) or end < start:
+                continue
+            self.trace.complete(
+                "requests", name, start, end - start, pid=REQUEST_PID,
+                tid=rid, request_id=rid, **extra,
+            )
 
     # -- engine passes -------------------------------------------------------
 
-    def prefill_span(
-        self, start: float, dur: float, n_requests: int, tokens: int,
-        t_compute: float, t_comm: float,
-        request_ids: tuple[int, ...] = (),
-    ) -> None:
+    def _prefill_span(self, e: ev.PrefillSpan) -> None:
         self._prefill_batches.inc()
-        self._batch_size.observe(n_requests, phase="prefill")
-        if self.attribution is not None:
-            self.attribution.on_prefill(start, request_ids, t_comm)
+        self._batch_size.observe(e.n_requests, phase="prefill")
         self.trace.complete(
             "prefill",
-            f"prefill[{n_requests}r/{tokens}t]",
-            start,
-            dur,
-            n_requests=n_requests,
-            tokens=tokens,
-            t_compute_s=t_compute,
-            t_comm_s=t_comm,
-            request_ids=list(request_ids),
+            f"prefill[{e.n_requests}r/{e.tokens}t]",
+            e.start,
+            e.dur,
+            n_requests=e.n_requests,
+            tokens=e.tokens,
+            t_compute_s=e.t_compute,
+            t_comm_s=e.t_comm,
+            request_ids=list(e.request_ids),
         )
 
-    def decode_span(
-        self, start: float, dur: float, q: int, context: int,
-        t_compute: float, t_comm: float,
-        request_ids: tuple[int, ...] = (),
-    ) -> None:
+    def _decode_span(self, e: ev.DecodeSpan) -> None:
         self._decode_iters.inc()
-        self._batch_size.observe(q, phase="decode")
-        if self.attribution is not None:
-            self.attribution.on_decode(request_ids, t_comm)
+        self._batch_size.observe(e.q, phase="decode")
         self.trace.complete(
             "decode",
-            f"decode[q={q}]",
-            start,
-            dur,
-            q=q,
-            context_tokens=context,
-            t_compute_s=t_compute,
-            t_comm_s=t_comm,
-            request_ids=list(request_ids),
+            f"decode[q={e.q}]",
+            e.start,
+            e.dur,
+            q=e.q,
+            context_tokens=e.context,
+            t_compute_s=e.t_compute,
+            t_comm_s=e.t_comm,
+            request_ids=list(e.request_ids),
         )
 
-    def kv_transfer_span(
-        self, start: float, dur: float, n_requests: int, tokens: int,
-        request_ids: tuple[int, ...] = (),
-    ) -> None:
+    def _kv_transfer_span(self, e: ev.KvTransferSpan) -> None:
         self._kv_transfers.inc()
-        if self.attribution is not None:
-            self.attribution.on_kv_span(dur, request_ids)
         self.trace.complete(
             "kv_transfer",
-            f"kv[{n_requests}r/{tokens}t]",
-            start,
-            dur,
-            n_requests=n_requests,
-            tokens=tokens,
-            request_ids=list(request_ids),
+            f"kv[{e.n_requests}r/{e.tokens}t]",
+            e.start,
+            e.dur,
+            n_requests=e.n_requests,
+            tokens=e.tokens,
+            request_ids=list(e.request_ids),
         )
 
-    def allreduce_span(
-        self,
-        phase: str,
-        start: float,
-        dur: float,
-        group: tuple[int, ...],
-        policy: str,
-        mode: str,
-        steps: int,
-        data_bytes: float,
-        request_ids: tuple[int, ...] = (),
-        bottleneck_link: int | None = None,
-        bottleneck_kind: str = "",
-        bottleneck_util: float = 0.0,
-        switch: int | None = None,
-    ) -> None:
-        """One group's synchronisation slice of a pass, policy-labelled.
-
-        Nested (by timestamps) inside the owning prefill/decode span.
-        ``bottleneck_*`` names the most utilised link of the policy's
-        footprint at decision time — the congestion it priced against.
-        """
-        if self.attribution is not None:
-            self.attribution.on_allreduce(
-                phase,
-                request_ids,
-                policy,
-                dur,
-                bottleneck_link,
-                bottleneck_kind,
-                bottleneck_util,
-                switch,
-            )
+    def _allreduce_span(self, e: ev.AllreduceSpan) -> None:
         self.trace.complete(
             "allreduce",
-            f"allreduce:{policy}",
-            start,
-            dur,
-            phase=phase,
-            group="-".join(str(g) for g in group),
-            policy=policy,
-            mode=mode,
-            steps=steps,
-            data_bytes=data_bytes,
-            request_ids=list(request_ids),
-            bottleneck_link=bottleneck_link,
-            bottleneck_kind=bottleneck_kind,
-            bottleneck_util=bottleneck_util,
-            switch=switch,
+            f"allreduce:{e.policy}",
+            e.start,
+            e.dur,
+            phase=e.phase,
+            group=_group(e.group),
+            policy=e.policy,
+            mode=e.mode,
+            steps=e.steps,
+            data_bytes=e.data_bytes,
+            request_ids=list(e.request_ids),
+            bottleneck_link=e.bottleneck_link,
+            bottleneck_kind=e.bottleneck_kind,
+            bottleneck_util=e.bottleneck_util,
+            switch=e.switch,
         )
 
-    def policy_selected(
-        self, group: tuple[int, ...], policy: str, mode: str
-    ) -> None:
+    def _policy_selected(self, e: ev.PolicySelected) -> None:
         self._policy_selections.inc(
-            group="-".join(str(g) for g in group), policy=policy, mode=mode
+            group=_group(e.group), policy=e.policy, mode=e.mode
         )
 
     # -- controller / link state ----------------------------------------------
 
-    def controller_tick(self, ts: float, refreshed: bool) -> None:
-        if refreshed:
+    def _controller_tick(self, e: ev.ControllerTick) -> None:
+        if e.refreshed:
             self._controller_refreshes.inc()
-            self.trace.instant("controller", "refresh", ts)
+            self.trace.instant("controller", "refresh", e.ts)
 
-    def sample_links(self, ts: float, linkstate: "LinkLoadTracker") -> None:
+    def _sample_links(self, e: ev.SampleLinks) -> None:
         """Export the monitoring agents' view as gauges/histograms."""
+        linkstate = e.linkstate
         for kind, (mean_u, max_u) in linkstate.utilization_by_kind().items():
             self._link_util_kind.set(mean_u, kind=kind, stat="mean")
             self._link_util_kind.set(max_u, kind=kind, stat="max")
@@ -370,40 +337,31 @@ class Observer:
         ):
             self._link_util.set(util, link=str(link_id), kind=kind)
 
-    def kv_sample(self, ts: float, used: int, capacity: int) -> None:
-        if capacity > 0:
-            self._kv_util.set(used / capacity)
+    def _kv_sample(self, e: ev.KvSample) -> None:
+        if e.capacity > 0:
+            self._kv_util.set(e.used / e.capacity)
 
-    def engine_tick(self, ts: float, sim: "ServingSimulator") -> None:
-        """One monitoring-cadence tick: sample the recorder, burn SLOs.
+    def _burn_slos(self, e: ev.EngineTick) -> None:
+        """Evaluate the SLO monitor; count and trace each alert edge."""
+        for alert in self.slo.evaluate(e.ts):
+            self._slo_alerts.inc(
+                slo=alert.slo,
+                severity=alert.severity,
+                state=alert.state,
+            )
+            self.trace.instant(
+                "alerts",
+                f"{alert.severity}:{alert.state}",
+                e.ts,
+                slo=alert.slo,
+                burn_long=alert.burn_long,
+                burn_short=alert.burn_short,
+                message=alert.message,
+            )
 
-        Called by the engine on the same cadence as ``sample_links`` —
-        controller refreshes for HeroServe runs, every Nth EWMA poll for
-        baselines — so both run in *simulation* time and observed runs
-        stay deterministic.
-        """
-        if self.recorder is not None:
-            self.recorder.sample(ts, sim)
-        if self.slo is not None:
-            for alert in self.slo.evaluate(ts):
-                self._slo_alerts.inc(
-                    slo=alert.slo,
-                    severity=alert.severity,
-                    state=alert.state,
-                )
-                self.trace.instant(
-                    "alerts",
-                    f"{alert.severity}:{alert.state}",
-                    ts,
-                    slo=alert.slo,
-                    burn_long=alert.burn_long,
-                    burn_short=alert.burn_short,
-                    message=alert.message,
-                )
-
-    # -- faults / failover ---------------------------------------------------
+    # -- faults / failover / replanning / fleet ------------------------------
     #
-    # Fault instruments are created lazily on the first fault event, so
+    # These instruments are created lazily on the first such event, so
     # observed fault-free runs export exactly the same metric names as
     # before the faults subsystem existed.
 
@@ -414,187 +372,93 @@ class Observer:
             setattr(self, attr, inst)
         return inst
 
-    def fault_injected(self, ts: float, kind: str, target: int) -> None:
+    def _fault_injected(self, e: ev.FaultInjected) -> None:
         self._fault_counter(
             "_faults_injected",
             "repro_faults_injected_total",
             "fault events applied by the injector, by kind",
-        ).inc(kind=kind)
-        self.trace.instant("faults", f"inject:{kind}", ts, target=target)
-        if self.recorder is not None:
-            self.recorder.log_event(ts, "fault_injected", kind=kind,
-                                    target=target)
+        ).inc(kind=e.kind)
+        self.trace.instant(
+            "faults", f"inject:{e.kind}", e.ts, target=e.target
+        )
 
-    def health_transition(
-        self, ts: float, kind: str, resource: int, state: str,
-        detail: str = "",
-    ) -> None:
+    def _health_transition(self, e: ev.HealthTransition) -> None:
         self._fault_counter(
             "_health_transitions",
             "repro_health_transitions_total",
             "detected resource health edges, by kind and state",
-        ).inc(kind=kind, state=state)
+        ).inc(kind=e.kind, state=e.state)
         self.trace.instant(
             "faults",
-            f"health:{kind}:{state}",
-            ts,
-            resource=resource,
-            detail=detail,
+            f"health:{e.kind}:{e.state}",
+            e.ts,
+            resource=e.resource,
+            detail=e.detail,
         )
-        if self.recorder is not None:
-            self.recorder.log_event(
-                ts, "health_transition", kind=kind, resource=resource,
-                state=state, detail=detail,
-            )
 
-    def failover(
-        self, ts: float, group: tuple[int, ...], direction: str
-    ) -> None:
+    def _failover(self, e: ev.Failover) -> None:
         self._fault_counter(
             "_failovers",
             "repro_failovers_total",
             "group policy-mask flips (ina->ring and back)",
-        ).inc(direction=direction)
+        ).inc(direction=e.direction)
         self.trace.instant(
-            "faults",
-            f"failover:{direction}",
-            ts,
-            group="-".join(str(g) for g in group),
+            "faults", f"failover:{e.direction}", e.ts, group=_group(e.group)
         )
-        if self.recorder is not None:
-            self.recorder.log_event(
-                ts, "failover",
-                group="-".join(str(g) for g in group),
-                direction=direction,
-            )
 
-    def kv_retry(
-        self, ts: float, attempt: int, delay: float,
-        request_ids: tuple[int, ...] = (),
-    ) -> None:
+    def _kv_retry(self, e: ev.KvRetry) -> None:
         self._fault_counter(
             "_kv_retries",
             "repro_kv_transfer_retries_total",
             "KV transfers deferred by backoff while decode unreachable",
         ).inc()
-        if self.attribution is not None:
-            self.attribution.on_kv_retry(request_ids)
         self.trace.instant(
             "faults",
             "kv_retry",
-            ts,
-            attempt=attempt,
-            delay_s=delay,
-            request_ids=list(request_ids),
+            e.ts,
+            attempt=e.attempt,
+            delay_s=e.delay,
+            request_ids=list(e.request_ids),
         )
 
-    def requests_requeued(
-        self, ts: float, n: int, request_ids: tuple[int, ...] = ()
-    ) -> None:
+    def _requests_requeued(self, e: ev.RequestsRequeued) -> None:
         self._fault_counter(
             "_requeued",
             "repro_requests_requeued_total",
             "requests that lost progress to a failure and redo prefill",
-        ).inc(n)
-        if self.attribution is not None:
-            self.attribution.on_requeued(request_ids)
+        ).inc(e.n)
         self.trace.instant(
             "faults",
             "requeue",
-            ts,
-            n_requests=n,
-            request_ids=list(request_ids),
+            e.ts,
+            n_requests=e.n,
+            request_ids=list(e.request_ids),
         )
-        if self.recorder is not None:
-            self.recorder.log_event(ts, "requests_requeued", n=n)
 
-    # -- online replanning ---------------------------------------------------
-
-    def replan_event(self, ts: float, event: str, **detail) -> None:
-        """One online-replanning lifecycle event (trigger, phase edge,
-        cutover, rollback, suppression).
-
-        ``detail`` must be JSON-serialisable; events land in the flight
-        recorder's event stream, from which the report's "Plan
-        transitions" timeline is built.
-        """
+    def _replan_event(self, e: ev.ReplanEvent) -> None:
         self._fault_counter(
             "_replan_events",
             "repro_replan_events_total",
             "online-replanning lifecycle events, by kind",
-        ).inc(event=event)
-        self.trace.instant("replan", event, ts, **detail)
-        if self.recorder is not None:
-            self.recorder.log_event(ts, event, **detail)
+        ).inc(event=e.event)
+        self.trace.instant("replan", e.event, e.ts, **e.detail)
 
-    def route_decision(
-        self,
-        ts: float,
-        request_id: int,
-        replica: int,
-        router: str,
-        reason: str,
-        affinity_hit: bool | None = None,
-        kv_fetch_bytes: float = 0.0,
-    ) -> None:
-        """One fleet routing decision (per request; recorder-bound).
-
-        Counted by (router, reason); the full decision — including
-        whether a session turn hit its KV-resident replica and how many
-        resident bytes a miss dragged across the fabric — lands in the
-        flight recorder's JSONL event stream as ``routing_decision``.
-        Lazily instrumented like the fault counters, so fleets routed
-        before the router layer existed export identical metric names.
-        """
+    def _route_decision(self, e: ev.RouteDecision) -> None:
         self._fault_counter(
             "_route_decisions",
             "repro_route_decisions_total",
             "fleet routing decisions, by policy and reason",
-        ).inc(router=router, reason=reason)
-        if self.recorder is not None:
-            detail: dict = {
-                "request_id": request_id,
-                "replica": replica,
-                "router": router,
-                "reason": reason,
-            }
-            if affinity_hit is not None:
-                detail["affinity_hit"] = affinity_hit
-            if kv_fetch_bytes:
-                detail["kv_fetch_bytes"] = kv_fetch_bytes
-            self.recorder.log_event(ts, "routing_decision", **detail)
+        ).inc(router=e.router, reason=e.reason)
 
-    def fleet_all_degraded(self, ts: float, n_replicas: int) -> None:
-        """Edge-triggered: every active replica is degraded at once, so
-        the router fell back to least-backlog over degraded replicas."""
+    def _fleet_all_degraded(self, e: ev.FleetAllDegraded) -> None:
         self._fault_counter(
             "_fleet_all_degraded",
             "repro_fleet_all_degraded_total",
             "router fallbacks with every active replica degraded",
         ).inc()
         self.trace.instant(
-            "faults", "fleet_all_degraded", ts, n_replicas=n_replicas
+            "faults", "fleet_all_degraded", e.ts, n_replicas=e.n_replicas
         )
-        if self.recorder is not None:
-            self.recorder.log_event(
-                ts, "fleet_all_degraded", n_replicas=n_replicas
-            )
-
-    # -- run boundary --------------------------------------------------------
-
-    def run_finished(self, ts: float, sim: "ServingSimulator") -> None:
-        """End of a standalone engine run: attach derived summaries.
-
-        When an attribution collector is present its fleet-wide
-        critical-path budget is folded into the run's
-        :class:`~repro.serving.metrics.ServingMetrics` (``cp_*`` summary
-        keys). Absent one, this hook changes nothing — summaries stay
-        byte-identical.
-        """
-        if self.attribution is not None and self.attribution.finished:
-            sim.metrics.attribution_stats = (
-                self.attribution.fleet_summary()
-            )
 
     # -- export ---------------------------------------------------------------
 
@@ -650,104 +514,6 @@ class Observer:
                 self.metrics.write_json(metrics_path)
 
 
-class NullObserver:
-    """Disabled observer: every hook is a no-op.
-
-    The default on every config/constructor, so existing call sites and
-    benchmarks pay only an attribute check (``obs.enabled``) or an empty
-    method call when observability is off.
-
-    Assigning a live :class:`~repro.obs.profile.PhaseProfiler` to a
-    fresh instance's ``profiler`` gives a profile-only run: the engine,
-    controller and planner time themselves through ``profiler`` while
-    ``enabled`` stays ``False``, so results stay byte-identical.
-    """
-
-    enabled = False
-    trace = None
-    metrics = None
-    profiler = NULL_PROFILER
-    slo = None
-    recorder = None
-    attribution = None
-
-    def request_arrival(self, ts, req) -> None:
-        pass
-
-    def request_dropped(self, ts, req) -> None:
-        pass
-
-    def request_finished(self, ts, req) -> None:
-        pass
-
-    def prefill_span(self, *args, **kwargs) -> None:
-        pass
-
-    def decode_span(self, *args, **kwargs) -> None:
-        pass
-
-    def kv_transfer_span(self, *args, **kwargs) -> None:
-        pass
-
-    def allreduce_span(self, *args, **kwargs) -> None:
-        pass
-
-    def policy_selected(self, group, policy, mode) -> None:
-        pass
-
-    def controller_tick(self, ts, refreshed) -> None:
-        pass
-
-    def sample_links(self, ts, linkstate) -> None:
-        pass
-
-    def kv_sample(self, ts, used, capacity) -> None:
-        pass
-
-    def engine_tick(self, ts, sim) -> None:
-        pass
-
-    def fault_injected(self, ts, kind, target) -> None:
-        pass
-
-    def health_transition(
-        self, ts, kind, resource, state, detail=""
-    ) -> None:
-        pass
-
-    def failover(self, ts, group, direction) -> None:
-        pass
-
-    def kv_retry(self, ts, attempt, delay, request_ids=()) -> None:
-        pass
-
-    def requests_requeued(self, ts, n, request_ids=()) -> None:
-        pass
-
-    def replan_event(self, ts, event, **detail) -> None:
-        pass
-
-    def route_decision(
-        self,
-        ts,
-        request_id,
-        replica,
-        router,
-        reason,
-        affinity_hit=None,
-        kv_fetch_bytes=0.0,
-    ) -> None:
-        pass
-
-    def fleet_all_degraded(self, ts, n_replicas) -> None:
-        pass
-
-    def run_finished(self, ts, sim) -> None:
-        pass
-
-    def export(self, trace_path=None, metrics_path=None) -> None:
-        pass
-
-
-#: Shared default instance (stateless, safe to share across engines).
-NULL_OBSERVER = NullObserver()
+#: Shared default instance: no subscribers, so nothing is ever recorded
+#: and it is safe to share across engines.
+NULL_OBSERVER = Observer.silent()

@@ -22,10 +22,10 @@ second for ``BENCH_engine.json``, plus the link tracker's
 ``network.writes`` / ``network.registrations`` work counts.
 
 Attach it through the observer: ``Observer(profiler=p)`` for a fully
-observed run, or a :class:`~repro.obs.observer.NullObserver` whose
-``profiler`` attribute is set to a live profiler when only host time is
-wanted — ``enabled`` stays ``False`` there, so no telemetry is emitted
-and simulated results stay byte-identical to an unobserved run.
+observed run, or ``Observer.silent(profiler=p)`` when only host time is
+wanted: that observer has no subscribers (``active`` is ``False``), so
+no telemetry is emitted and simulated results stay byte-identical to an
+unobserved run.
 
 Not locked: the planner and the engine record from one thread.
 """

@@ -26,8 +26,11 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
+
+from repro.obs import events as ev
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.serving.engine import ServingSimulator
@@ -39,7 +42,7 @@ __all__ = ["FlightSample", "FlightRecorder", "REPLAN_EVENTS"]
 #: sample (kind-level aggregates still cover them).
 RECORD_MIN_LINK_UTIL = 0.01
 
-#: Event names emitted by the online replanner (observer.replan_event);
+#: Event names of the online replanner's ``ReplanEvent``s;
 #: the report's "Plan transitions" timeline filters on these.
 REPLAN_EVENTS = (
     "replan_triggered",
@@ -149,6 +152,48 @@ class FlightRecorder:
                     ports[link.dst].append(link.link_id)
             self._switch_ports = ports
         return self._switch_ports
+
+    # -- event intake (an Observer subscriber) --------------------------------
+
+    def subscriptions(self) -> dict[type, Callable]:
+        """``{event type: handler}`` for :class:`~repro.obs.Observer`:
+        a sample per engine tick, plus the discrete-event log."""
+        log = self.log_event
+        return {
+            ev.EngineTick: lambda e: self.sample(e.ts, e.sim),
+            ev.FaultInjected: lambda e: log(
+                e.ts, "fault_injected", kind=e.kind, target=e.target
+            ),
+            ev.HealthTransition: lambda e: log(
+                e.ts, "health_transition", kind=e.kind,
+                resource=e.resource, state=e.state, detail=e.detail,
+            ),
+            ev.Failover: lambda e: log(
+                e.ts, "failover", group="-".join(str(g) for g in e.group),
+                direction=e.direction,
+            ),
+            ev.RequestsRequeued: lambda e: log(
+                e.ts, "requests_requeued", n=e.n
+            ),
+            ev.ReplanEvent: lambda e: log(e.ts, e.event, **e.detail),
+            ev.RouteDecision: self._log_route,
+            ev.FleetAllDegraded: lambda e: log(
+                e.ts, "fleet_all_degraded", n_replicas=e.n_replicas
+            ),
+        }
+
+    def _log_route(self, e: ev.RouteDecision) -> None:
+        detail: dict = {
+            "request_id": e.request_id,
+            "replica": e.replica,
+            "router": e.router,
+            "reason": e.reason,
+        }
+        if e.affinity_hit is not None:
+            detail["affinity_hit"] = e.affinity_hit
+        if e.kv_fetch_bytes:
+            detail["kv_fetch_bytes"] = e.kv_fetch_bytes
+        self.log_event(e.ts, "routing_decision", **detail)
 
     # -- sampling ------------------------------------------------------------
 

@@ -216,8 +216,9 @@ class SLOMonitor:
     """Evaluates burn rates on controller ticks; emits edge alerts.
 
     ``record_request`` is called per finished request (the observer's
-    ``request_finished`` hook); ``evaluate`` runs on the monitoring
-    cadence and returns the alerts that *changed state* this tick.
+    ``RequestFinished`` event); ``evaluate`` runs on the monitoring
+    cadence (``EngineTick``) and returns the alerts that *changed
+    state* this tick.
     """
 
     def __init__(

@@ -25,7 +25,8 @@ Communication scheduling per system:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -50,6 +51,7 @@ from repro.llm.batch import BatchSpec
 from repro.llm.costmodel import CostModelBank
 from repro.llm.memory import MemoryBudget
 from repro.llm.models import ModelConfig
+from repro.obs import events
 from repro.obs.logging_config import get_logger
 from repro.obs.observer import NULL_OBSERVER
 from repro.serving.metrics import ServingMetrics
@@ -149,8 +151,8 @@ class ServingSimulator:
             DEFAULT_N_SLOTS if self.cfg.n_slots is None else self.cfg.n_slots
         )
         #: host wall-clock profiler carried by the observer; read
-        #: independently of ``obs.enabled`` so a profile-only
-        #: NullObserver times the hot path without span overhead
+        #: independently of ``obs.active`` so a profile-only observer
+        #: times the hot path without building any event
         self._profiler = self.obs.profiler
         self._poll_counter = 0
 
@@ -192,7 +194,7 @@ class ServingSimulator:
         self.decode_busy = False
         self._decode_comm_cache: tuple[int, float] | None = None
         self._decode_footprints: list[tuple[tuple[int, ...], float]] = []
-        self._decode_decisions: list[dict] = []
+        self._decode_decisions: list[events.AllreduceSpan] = []
         self._decode_iter_counter = 0
         self._eth_links = np.where(
             ctx.built.topology.kind_array() == int(LinkKind.ETHERNET)
@@ -242,7 +244,11 @@ class ServingSimulator:
         tokens: int,
         activation_bytes: int,
         plan_comm: tuple,
-    ) -> tuple[float, list[tuple[tuple[int, ...], float]], list[dict]]:
+    ) -> tuple[
+        float,
+        list[tuple[tuple[int, ...], float]],
+        list[events.AllreduceSpan],
+    ]:
         """(total sync time, [(links, bytes)], decisions) for one pass.
 
         With a controller (HeroServe) every group's step is routed
@@ -251,18 +257,20 @@ class ServingSimulator:
         deployment, as real static systems do), priced at the live link
         bandwidths.
 
-        ``decisions`` carries per-group (policy, mode, step time, steps,
-        bytes) records for the observability layer — including the most
-        utilised link of the policy's footprint at decision time, the
-        congestion it priced against — and is built only when an
+        ``decisions`` carries one :class:`~repro.obs.events.AllreduceSpan`
+        per group for the observability layer (policy, mode, steps,
+        bytes and duration, plus the most utilised link of the policy's
+        footprint at decision time: the congestion it priced against),
+        with phase, start and request ids left for
+        :meth:`_allreduce_spans` to fill in. It is built only when an
         observer is attached.
         """
         data = allreduce_bytes(self.model, tokens)
         steps = sync_steps_per_pass(self.model, len(stages))
         total = 0.0
         footprints: list[tuple[tuple[int, ...], float]] = []
-        decisions: list[dict] = []
-        observing = self.obs.enabled
+        decisions: list[events.AllreduceSpan] = []
+        observing = self.obs.active
         if observing:
             # Decision-time congestion view: loads registered by earlier
             # passes, before this pass adds its own.
@@ -315,7 +323,9 @@ class ServingSimulator:
                     # Controller-routed groups are counted inside the
                     # scheduler; static plan-time policies are counted
                     # here so the selection metric covers baselines too.
-                    self.obs.policy_selected(tuple(grp), policy_name, mode)
+                    self.obs.emit(
+                        events.PolicySelected(tuple(grp), policy_name, mode)
+                    )
             total += steps * step_t
             if links:
                 footprints.append((tuple(links), float(data * steps)))
@@ -330,31 +340,21 @@ class ServingSimulator:
                     b_link = int(ids[j])
                     b_util = float(u[j])
                     b_kind = ls_kinds[b_link]
-                decisions.append(
-                    {
-                        "group": tuple(grp),
-                        "policy": policy_name,
-                        "mode": mode,
-                        "step_time": step_t,
-                        "steps": steps,
-                        "data_bytes": float(data),
-                        "switch": switch,
-                        "bottleneck_link": b_link,
-                        "bottleneck_kind": b_kind,
-                        "bottleneck_util": b_util,
-                    }
-                )
+                decisions.append(events.AllreduceSpan(
+                    "", 0.0, steps * step_t, tuple(grp), policy_name, mode,
+                    steps, float(data), (), b_link, b_kind, b_util, switch,
+                ))
         if len(stages) > 1:
             total += pipeline_sync_time(self.ctx, stages, activation_bytes)
         return total, footprints, decisions
 
-    def _emit_allreduce_spans(
+    def _allreduce_spans(
         self,
         phase: str,
         comm_start: float,
-        decisions: list[dict],
-        request_ids: tuple[int, ...] = (),
-    ) -> None:
+        decisions: list[events.AllreduceSpan],
+        request_ids: tuple[int, ...],
+    ) -> Iterator[events.AllreduceSpan]:
         """Lay each group's sync slice inside the owning pass span.
 
         Groups synchronise back-to-back in the pass pricing (the total is
@@ -364,23 +364,8 @@ class ServingSimulator:
         """
         t = comm_start
         for d in decisions:
-            dur = d["steps"] * d["step_time"]
-            self.obs.allreduce_span(
-                phase,
-                t,
-                dur,
-                d["group"],
-                d["policy"],
-                d["mode"],
-                d["steps"],
-                d["data_bytes"],
-                request_ids=request_ids,
-                bottleneck_link=d["bottleneck_link"],
-                bottleneck_kind=d["bottleneck_kind"],
-                bottleneck_util=d["bottleneck_util"],
-                switch=d["switch"],
-            )
-            t += dur
+            yield replace(d, phase=phase, start=t, request_ids=request_ids)
+            t += d.dur
 
     def _register_pass_load(
         self,
@@ -408,8 +393,8 @@ class ServingSimulator:
     # ------------------------------------------------------------------
 
     def _on_arrival(self, req: RequestState) -> None:
-        if self.obs.enabled:
-            self.obs.request_arrival(self.queue.now, req)
+        if self.obs.active:
+            self.obs.emit(events.RequestArrival(self.queue.now, req))
         if self.replanner is not None:
             self.replanner.on_arrival(self.queue.now, req)
         self.prefill_queue.append(req)
@@ -461,16 +446,16 @@ class ServingSimulator:
         duration = t_c + t_n
         handles = self._register_pass_load(footprints, duration)
         self.metrics.prefill_batches += 1
-        if self.obs.enabled:
+        if self.obs.active:
             now = self.queue.now
             rids = tuple(r.request_id for r in batch)
-            self.obs.prefill_span(
-                now, duration, len(batch), spec.k_in, t_c, t_n,
-                request_ids=rids,
-            )
-            self._emit_allreduce_spans(
+            self.obs.emit(events.PrefillSpan(
+                now, duration, len(batch), spec.k_in, t_c, t_n, rids
+            ))
+            for span in self._allreduce_spans(
                 "prefill", now + t_c, decisions, rids
-            )
+            ):
+                self.obs.emit(span)
         ev = self.queue.schedule(
             duration, self._prefill_done, batch, spec, handles,
             tag="prefill_done",
@@ -526,13 +511,10 @@ class ServingSimulator:
                 return
             delay = self.faults.backoff(attempt)
             self.faults.counters.kv_retries += 1
-            if self.obs.enabled:
-                self.obs.kv_retry(
-                    now,
-                    attempt,
-                    delay,
-                    request_ids=tuple(r.request_id for r in batch),
-                )
+            if self.obs.active:
+                self.obs.emit(events.KvRetry(
+                    now, attempt, delay, tuple(r.request_id for r in batch)
+                ))
             self.queue.schedule(
                 delay,
                 self._start_kv_transfer,
@@ -581,11 +563,11 @@ class ServingSimulator:
                             links, nbytes / (kv_scale * t_f)
                         )
                     )
-            if self.obs.enabled:
-                self.obs.kv_transfer_span(
+            if self.obs.active:
+                self.obs.emit(events.KvTransferSpan(
                     now, t_f, len(batch), spec.k_in,
-                    request_ids=tuple(r.request_id for r in batch),
-                )
+                    tuple(r.request_id for r in batch),
+                ))
             ev = self.queue.schedule(
                 t_f, self._kv_done, batch, handles, tag="kv_done"
             )
@@ -623,9 +605,9 @@ class ServingSimulator:
             attempt,
             len(batch),
         )
-        if self.obs.enabled:
+        if self.obs.active:
             for r in batch:
-                self.obs.request_dropped(now, r)
+                self.obs.emit(events.RequestDropped(now, r))
 
     def _kv_done(self, batch: list[RequestState], handles: list[int]) -> None:
         if self._kv_inflight:
@@ -702,15 +684,16 @@ class ServingSimulator:
         duration = t_c + t_n
         handles = self._register_pass_load(self._decode_footprints, duration)
         self.metrics.decode_iterations += 1
-        if self.obs.enabled:
+        if self.obs.active:
             now = self.queue.now
             rids = tuple(r.request_id for r in self.decode_active)
-            self.obs.decode_span(
-                now, duration, q, context, t_c, t_n, request_ids=rids
+            self.obs.emit(
+                events.DecodeSpan(now, duration, q, context, t_c, t_n, rids)
             )
-            self._emit_allreduce_spans(
+            for span in self._allreduce_spans(
                 "decode", now + t_c, self._decode_decisions, rids
-            )
+            ):
+                self.obs.emit(span)
         ev = self.queue.schedule(
             duration, self._decode_iter_done, handles, tag="decode_iter"
         )
@@ -720,7 +703,7 @@ class ServingSimulator:
         self._decode_inflight = None
         self._release(handles)
         now = self.queue.now
-        observing = self.obs.enabled
+        observing = self.obs.active
         still_active: list[RequestState] = []
         for r in self.decode_active:
             r.tokens_generated += 1
@@ -730,13 +713,13 @@ class ServingSimulator:
                 self.kv_used -= r.kv_tokens
                 self.metrics.record_finish(r)
                 if observing:
-                    self.obs.request_finished(now, r)
+                    self.obs.emit(events.RequestFinished(now, r))
             else:
                 still_active.append(r)
         self.decode_active = still_active
         self.metrics.record_memory(now, self.kv_used, self.kv_capacity)
         if observing:
-            self.obs.kv_sample(now, self.kv_used, self.kv_capacity)
+            self.obs.emit(events.KvSample(now, self.kv_used, self.kv_capacity))
         self.decode_busy = False
         self._tick_controller()
         self._try_start_decode()
@@ -890,12 +873,10 @@ class ServingSimulator:
         if self.faults is not None:
             self.faults.counters.requests_lost += len(lost)
             self.faults.counters.prefill_redos += len(lost)
-        if self.obs.enabled:
-            self.obs.requests_requeued(
-                self.queue.now,
-                len(lost),
-                request_ids=tuple(r.request_id for r in lost),
-            )
+        if self.obs.active:
+            self.obs.emit(events.RequestsRequeued(
+                self.queue.now, len(lost), tuple(r.request_id for r in lost)
+            ))
         # Victims keep their arrival priority: redo from the queue front.
         self.prefill_queue[:0] = lost
         self._try_start_prefill()
@@ -908,25 +889,21 @@ class ServingSimulator:
         with self._profiler.phase("engine.controller_tick"):
             if self.replanner is not None:
                 self.replanner.on_tick(self.queue.now)
+            now = self.queue.now
             if self.controller is not None:
-                refreshed = self.controller.tick(self.queue.now)
-                if self.obs.enabled:
-                    self.obs.controller_tick(self.queue.now, refreshed)
-                    if refreshed:
-                        self.obs.sample_links(
-                            self.queue.now, self.ctx.linkstate
-                        )
-                        self.obs.engine_tick(self.queue.now, self)
+                sample = self.controller.tick(now)
+                if self.obs.active:
+                    self.obs.emit(events.ControllerTick(now, sample))
             else:
                 # Baselines still poll link counters so EWMA views stay live.
                 self.ctx.linkstate.poll()
-                if self.obs.enabled:
-                    self._poll_counter += 1
-                    if self._poll_counter % _BASELINE_LINK_SAMPLE_EVERY == 0:
-                        self.obs.sample_links(
-                            self.queue.now, self.ctx.linkstate
-                        )
-                        self.obs.engine_tick(self.queue.now, self)
+                self._poll_counter += 1
+                sample = self._poll_counter % _BASELINE_LINK_SAMPLE_EVERY == 0
+            # Monitoring cadence: controller refreshes for HeroServe,
+            # every Nth poll for baselines, in simulation time.
+            if sample and self.obs.active:
+                self.obs.emit(events.SampleLinks(now, self.ctx.linkstate))
+                self.obs.emit(events.EngineTick(now, self))
 
     def submit(self, tr) -> RequestState:
         """Accept one routed request *now* (fleet/router entry point)."""
@@ -953,7 +930,7 @@ class ServingSimulator:
             "starting run: %d requests, horizon %.1fs, observer %s",
             len(self.trace),
             self.trace.duration + self.cfg.drain_time,
-            "on" if self.obs.enabled else "off",
+            "on" if self.obs.active else "off",
         )
         for tr in self.trace:
             req = RequestState(trace=tr)
@@ -975,8 +952,8 @@ class ServingSimulator:
             self.faults.finalize(self.queue.now, self.metrics)
         if self.replanner is not None:
             self.replanner.finalize(self.metrics)
-        if self.obs.enabled:
-            self.obs.run_finished(self.queue.now, self)
+        if self.obs.active:
+            self.obs.emit(events.RunFinished(self.queue.now, self))
         log.info(
             "run complete: %d finished, %d prefill batches, "
             "%d decode iterations, %d events fired",

@@ -44,6 +44,7 @@ from repro.core.kvtransfer import (
     plan_kv_migration,
 )
 from repro.llm.memory import kv_bytes_per_token
+from repro.obs.events import FleetAllDegraded, RouteDecision
 from repro.serving.engine import ServingSimulator
 from repro.serving.metrics import RouterStats, ServingMetrics
 from repro.serving.router import Router, get_qos, get_router
@@ -325,9 +326,10 @@ class ReplicaFleet:
             self._all_degraded = False
         elif not self._all_degraded:
             self._all_degraded = True
-            self.observer.fleet_all_degraded(
-                self.queue.now, len(candidates)
-            )
+            if self.observer.active:
+                self.observer.emit(
+                    FleetAllDegraded(self.queue.now, len(candidates))
+                )
         decision = self.router.select(tr, candidates, self)
         idx = decision.replica
         if idx not in candidates:
@@ -338,15 +340,16 @@ class ReplicaFleet:
         self.router.on_routed(tr, decision, self)
         self.routed[idx] += 1
         fetch = self._account_session(tr, idx)
-        self.observer.route_decision(
-            self.queue.now,
-            tr.request_id,
-            idx,
-            self.router.name,
-            decision.reason,
-            affinity_hit=decision.affinity_hit,
-            kv_fetch_bytes=0.0 if fetch is None else fetch[2],
-        )
+        if self.observer.active:
+            self.observer.emit(RouteDecision(
+                self.queue.now,
+                tr.request_id,
+                idx,
+                self.router.name,
+                decision.reason,
+                decision.affinity_hit,
+                0.0 if fetch is None else fetch[2],
+            ))
         if fetch is None:
             self.replicas[idx].submit(tr)
         else:

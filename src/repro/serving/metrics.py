@@ -151,8 +151,8 @@ class ServingMetrics:
     dropped: int = 0
     #: set by the fault injector when a non-empty fault plan ran
     fault_stats: FaultStats | None = None
-    #: flat ``cp_*`` critical-path budget keys, attached by the
-    #: observer's ``run_finished`` hook when an
+    #: flat ``cp_*`` critical-path budget keys, attached on the
+    #: observer's ``RunFinished`` event when an
     #: :class:`~repro.obs.attribution.AttributionCollector` was present
     #: — ``None`` otherwise, keeping summaries byte-identical
     attribution_stats: dict[str, float] | None = None

@@ -8,7 +8,8 @@ from repro.core import SLA_SIM_CHATBOT
 from repro.core.plan import ParallelConfig
 from repro.llm import OPT_175B, A100, CostModelBank
 from repro.network import build_xtracks_cluster
-from repro.obs import NullObserver
+from repro.obs import Observer
+from repro.obs.events import FleetAllDegraded
 from repro.serving import (
     AutoScaler,
     EngineConfig,
@@ -243,12 +244,12 @@ class TestFaultAwareRouting:
     def test_all_degraded_event_is_edge_triggered(self, built, bank):
         events = []
 
-        class _Obs(NullObserver):
-            def fleet_all_degraded(self, ts, n):
-                events.append((ts, n))
-
+        obs = Observer.silent()
+        obs.subscribe({
+            FleetAllDegraded: lambda e: events.append((e.ts, e.n_replicas))
+        })
         fleet = make_fleet(built, bank, n=2)
-        fleet.observer = _Obs()
+        fleet.observer = obs
         for sim in fleet.replicas:
             sim._prefill_down = True
         fleet.route(TraceRequest(0, 0.0, 16, 4))

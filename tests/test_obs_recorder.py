@@ -29,6 +29,7 @@ from repro import (
     simulate_trace,
 )
 from repro.llm import A100, V100
+from repro.obs.events import SampleLinks
 from repro.obs.observer import LINK_GAUGE_MIN_UTIL
 from repro.obs.recorder import FlightRecorder, FlightSample
 from repro.obs.slo import SLOMonitor, SLOTarget
@@ -252,7 +253,7 @@ class TestLinkGaugeThreshold:
         busy_id = int(np.argmax(ls.capacity))
         ls.register([busy_id], 0.5 * float(ls.capacity[busy_id]))
         obs = Observer()
-        obs.sample_links(0.0, ls)
+        obs.emit(SampleLinks(0.0, ls))
         gauge = obs.metrics.get("repro_link_utilization")
         exported = {dict(k)["link"] for k in gauge._values}
         assert exported == {str(busy_id)}
@@ -268,7 +269,7 @@ class TestLinkGaugeThreshold:
             [lid], 0.5 * LINK_GAUGE_MIN_UTIL * float(ls.capacity[lid])
         )
         obs = Observer()
-        obs.sample_links(0.0, ls)
+        obs.emit(SampleLinks(0.0, ls))
         assert not obs.metrics.get("repro_link_utilization")._values
 
 

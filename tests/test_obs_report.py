@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.objective import SlaSpec
 from repro.obs import AttributionCollector, Observer
+from repro.obs import events as ev
 from repro.obs.recorder import FlightRecorder, FlightSample
 from repro.obs.report import (
     build_report_data,
@@ -110,18 +111,24 @@ def synthetic_observer() -> Observer:
 
 
 def synthetic_attribution() -> AttributionCollector:
-    """Three requests fed through the collector's own event hooks."""
+    """Three requests fed through the collector's event subscriptions."""
     att = AttributionCollector()
+    subs = att.subscriptions()
+
+    def feed(e):
+        subs[type(e)](e)
+
     for i in range(3):
         r = finished_request(i, 0.3 + 0.1 * i, 0.05)
-        att.on_arrival(r.arrival_time, r)
-        att.on_prefill(r.prefill_start, (i,), 0.05)
-        att.on_allreduce(
-            "prefill", (i,), "hybrid-ina@0", 0.05, 7, "ethernet", 0.6, 0
-        )
-        att.on_kv_span(0.0, (i,))
-        att.on_decode((i,), 0.01)
-        att.on_finished(r.finish_time, r)
+        feed(ev.RequestArrival(r.arrival_time, r))
+        feed(ev.PrefillSpan(r.prefill_start, 0.0, 1, 0, 0.0, 0.05, (i,)))
+        feed(ev.AllreduceSpan(
+            "prefill", 0.0, 0.05, (0,), "hybrid-ina@0", "", 1, 0.0, (i,),
+            7, "ethernet", 0.6, 0,
+        ))
+        feed(ev.KvTransferSpan(0.0, 0.0, 1, 0, (i,)))
+        feed(ev.DecodeSpan(0.0, 0.0, 1, 0, 0.0, 0.01, (i,)))
+        feed(ev.RequestFinished(r.finish_time, r))
     return att
 
 

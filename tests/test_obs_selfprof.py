@@ -3,8 +3,8 @@
 The BENCH_engine measurement harness is :class:`PhaseProfiler` reached
 through ``observer.profiler``: engine/controller sections, per-event-tag
 handler times and run totals, in the same ledger as the planner phases.
-The load-bearing property is *non-interference* — a profile-only run (a
-:class:`NullObserver` carrying a live profiler) must produce a
+The load-bearing property is *non-interference* — a profile-only run (an
+``Observer.silent`` carrying a live profiler) must produce a
 byte-identical ``summary()`` to an unobserved run, because the profiler
 only times code, it never participates in simulation decisions.
 """
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 
-import inspect
 
 from repro import (
     HEROSERVE,
@@ -29,8 +28,7 @@ from repro.baselines import ServingSystem
 from repro.comm import CommContext, SchemeKind
 from repro.core.planner import OfflinePlanner
 from repro.llm import A100, V100
-from repro.obs import Observer, PhaseProfiler
-from repro.obs.observer import NullObserver
+from repro.obs import NULL_OBSERVER, Observer, PhaseProfiler
 from repro.serving import EngineConfig
 from repro.sim.eventqueue import EventQueue
 from repro.util.rng import make_rng
@@ -44,10 +42,8 @@ ENGINE_SECTIONS = (
 )
 
 
-def profile_only_observer() -> NullObserver:
-    observer = NullObserver()
-    observer.profiler = PhaseProfiler()
-    return observer
+def profile_only_observer() -> Observer:
+    return Observer.silent(profiler=PhaseProfiler())
 
 
 def profiled_testbed_run(duration: float = 20.0):
@@ -186,57 +182,14 @@ class TestSnapshotReportRoundTrip:
 
 
 class TestObserverHookParity:
-    """Every hook the engine may call on a full :class:`Observer` must
-    exist on :class:`NullObserver` — a hook added to one but not the
-    other crashes unobserved runs, the worst possible failure mode for
-    an observability layer."""
-
-    @staticmethod
-    def public_hooks(cls) -> set[str]:
-        return {
-            name
-            for name, member in inspect.getmembers(
-                cls, predicate=inspect.isfunction
-            )
-            if not name.startswith("_")
-        }
-
-    def test_null_observer_covers_observer_hooks(self):
-        missing = self.public_hooks(Observer) - self.public_hooks(
-            NullObserver
-        )
-        assert not missing, missing
+    """A profile-only run is an observer with no subscribers and a live
+    profiler: the engine times itself but builds no event."""
 
     def test_profile_only_observer_is_a_null_observer(self):
         obs = profile_only_observer()
-        assert obs.enabled is False  # engine stays on the no-op path
+        assert obs.active is False  # engine builds no event
         assert obs.profiler.enabled is True
-        # the shared class default is untouched
-        assert NullObserver.profiler.enabled is False
-        assert NullObserver().profiler is NullObserver.profiler
-
-    def test_null_hooks_are_callable_no_ops(self):
-        obs = NullObserver()
-        obs.request_arrival(0.0, None)
-        obs.request_dropped(0.0, None)
-        obs.request_finished(0.0, None)
-        obs.prefill_span()
-        obs.decode_span()
-        obs.kv_transfer_span()
-        obs.allreduce_span()
-        obs.policy_selected(0, "p", "m")
-        obs.controller_tick(0.0, True)
-        obs.sample_links(0.0, None)
-        obs.kv_sample(0.0, 0, 1)
-        obs.engine_tick(0.0, None)
-        obs.fault_injected(0.0, "k", 0)
-        obs.health_transition(0.0, "k", 0, "s")
-        obs.failover(0.0, 0, "d")
-        obs.kv_retry(0.0, 1, 0.1)
-        obs.requests_requeued(0.0, 1)
-        obs.route_decision(0.0, 1, 0, "jsq", "r")
-        obs.fleet_all_degraded(0.0, 2)
-        obs.run_finished(0.0, None)
-        with obs.profiler.phase("x"):
-            pass
-        obs.export()
+        # the shared default is untouched
+        assert NULL_OBSERVER.active is False
+        assert NULL_OBSERVER.profiler.enabled is False
+        assert Observer.silent().profiler is NULL_OBSERVER.profiler

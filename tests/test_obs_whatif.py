@@ -139,7 +139,7 @@ class TestCatalog:
         the mapping hits the field the resource names."""
         for iv in DEFAULT_CATALOG:
             cfg = profiler.perturbed_config(iv)
-            assert not cfg.observer.enabled
+            assert not cfg.observer.active
             if iv.resource.startswith("link:"):
                 cls = iv.resource.split(":", 1)[1]
                 assert cfg.link_scale == ((cls, iv.factor),)
