@@ -22,12 +22,16 @@ ways:
   (candidate sweep, no estimation cache, per-estimate Dijkstra).
 
 The cached and pre-cache planners must produce *byte-identical* plans —
-the cache only skips recomputation of pure functions. Results land in
+the cache only skips recomputation of pure functions. One more, untimed
+cached solve per setting counts the route work (link footprints walked,
+switches scored) that the CI gate pins exactly. Results land in
 ``planner_time.txt`` (tables) and ``BENCH_planner.json`` (the
 machine-readable perf baseline: per-phase ms, cache hit rate, speedups)
 under ``benchmarks/results/``.
 """
 
+import importlib
+from contextlib import contextmanager
 from dataclasses import fields
 
 import pytest
@@ -68,13 +72,59 @@ class _ColdRouteTable(RouteTable):
 
 
 class _ColdContext(CommContext):
-    """A context without the path-price memo: every price walks its hops."""
+    """A context without the path memos: every price walks its hops."""
 
     def path_time(self, src, dst, data_bytes):
         return self._sum_hops(src, dst, data_bytes)
 
     def path_bottleneck(self, src, dst):
         return self._min_hop(src, dst)
+
+    def round_trip(self, gpu, switch):
+        return self._round_trip(gpu, switch)
+
+
+#: Route-resolution work of one cached solve, counted by wrapping the
+#: functions that do it at every module that calls them: link footprints
+#: walked (ring, INA, NVLink member<->leader legs) and Algorithm 2 switch
+#: scores (``switch_delay``, one group at one switch). The counts do not
+#: depend on the host, so the CI gate fails on any change to them.
+WORK_COUNTERS = {
+    "ring_footprints": (("repro.comm.ring", "ring_link_footprint"),),
+    "ina_footprints": (("repro.comm.ina", "ina_link_footprint"),),
+    "leader_legs": (
+        ("repro.comm.hybrid", "leader_legs"),
+        ("repro.comm.scheme", "leader_legs"),
+        ("repro.comm.twostage", "leader_legs"),
+    ),
+    "switch_scores": (
+        ("repro.comm.ina", "switch_delay"),
+        ("repro.comm.scheme", "switch_delay"),
+    ),
+}
+
+
+@contextmanager
+def counted_work():
+    """Count calls of :data:`WORK_COUNTERS` inside the block."""
+    counts = dict.fromkeys(WORK_COUNTERS, 0)
+    saved = []
+    for key, targets in WORK_COUNTERS.items():
+        for module, attr in targets:
+            mod = importlib.import_module(module)
+            fn = getattr(mod, attr)
+            saved.append((mod, attr, fn))
+
+            def counter(*args, _fn=fn, _key=key, **kwargs):
+                counts[_key] += 1
+                return _fn(*args, **kwargs)
+
+            setattr(mod, attr, counter)
+    try:
+        yield counts
+    finally:
+        for mod, attr, fn in saved:
+            setattr(mod, attr, fn)
 
 
 def _copy_as(cls, obj, **changes):
@@ -109,7 +159,15 @@ def plan_three_way(built, model, bank, batch):
         ctx(), model, bank, SLA_TESTBED_CHATBOT, SchemeKind.HYBRID,
         config=PlannerConfig(seed=BENCH_SEED),
     ).plan(batch, arrival_rate=0.5)
-    return cached, precache, sweep
+    # The work counts come from a separate, untimed cached solve, so the
+    # counting wrappers cost the timed ones nothing.
+    with counted_work() as work:
+        counted = OfflinePlanner(
+            ctx(), model, bank, SLA_TESTBED_CHATBOT, SchemeKind.HYBRID,
+            config=PlannerConfig(seed=BENCH_SEED),
+        ).plan(batch, arrival_rate=0.5)
+    assert repr(counted.plan) == repr(cached.plan)
+    return cached, precache, sweep, work
 
 
 def run_planner_comparison():
@@ -145,7 +203,7 @@ def run_planner_comparison():
 def phase_table(results):
     """Per-phase breakdown of the cached planner's solve time."""
     rows = []
-    for label, cached, _precache, _sweep in results:
+    for label, cached, _precache, _sweep, _work in results:
         for phase_row in phase_breakdown_rows(cached.phase_times):
             rows.append([label, *phase_row])
     return format_table(
@@ -158,7 +216,7 @@ def phase_table(results):
 def baseline_payload(results):
     """The BENCH_planner.json structure (see docs/PERFORMANCE.md)."""
     settings = {}
-    for label, cached, precache, sweep in results:
+    for label, cached, precache, sweep, work in results:
         identical = repr(cached.plan) == repr(precache.plan) and (
             cached.plan == precache.plan
         )
@@ -176,6 +234,7 @@ def baseline_payload(results):
             "cache": {
                 k: round(v, 4) for k, v in cached.cache_stats.items()
             },
+            "work": work,
             "phases_ms": {
                 name: round(secs * 1e3, 2)
                 for name, secs in cached.phase_times.items()
@@ -194,7 +253,7 @@ def test_planner_solve_time(benchmark):
         run_planner_comparison, rounds=1, iterations=1
     )
     rows = []
-    for label, cached, precache, sweep in results:
+    for label, cached, precache, sweep, _work in results:
         speedup = (
             precache.wall_time / cached.wall_time
             if cached.wall_time > 0
@@ -240,7 +299,7 @@ def test_planner_solve_time(benchmark):
     save_result("planner_time", table + "\n\n" + breakdown)
     save_json("BENCH_planner", baseline_payload(results))
 
-    for label, cached, precache, sweep in results:
+    for label, cached, precache, sweep, _work in results:
         assert cached.plan is not None, label
         assert precache.plan is not None, label
         assert sweep.plan is not None, label
@@ -262,7 +321,7 @@ def test_planner_solve_time(benchmark):
         ), label
 
     by_label = {label: r for label, *r in results}
-    cached, precache, _ = by_label["2tracks OPT-175B"]
+    cached, precache, _, _ = by_label["2tracks OPT-175B"]
     assert (
         precache.wall_time / cached.wall_time >= MIN_SPEEDUP_2TRACKS
     ), (

@@ -10,6 +10,7 @@ planner's view of an idle network).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -50,6 +51,10 @@ class CommContext:
     #: a capacity view's path prices: ``(src, dst, data_bytes)`` keys
     #: :meth:`path_time`, ``(src, dst)`` keys :meth:`path_bottleneck`
     _prices: dict[tuple, float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    #: a capacity view's selection-size round trips of :meth:`round_trip`
+    _round_trips: dict[tuple[int, int], float] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     #: a live view's padded hop index per ``pairs`` tuple of
@@ -155,6 +160,21 @@ class CommContext:
             hit = self._prices[key] = self._min_hop(src, dst)
         return hit
 
+    def round_trip(self, gpu: int, switch: int) -> float:
+        """``gpu -> switch -> gpu`` :meth:`path_time` at the selection size.
+
+        Algorithm 2's per-member switch score (Eq. 9's collection plus
+        the symmetric distribution). Memoized in a capacity view, where it
+        is the sum of the two memoized path prices, bit for bit.
+        """
+        if self.linkstate is not None:
+            return self._round_trip(gpu, switch)
+        key = (gpu, switch)
+        hit = self._round_trips.get(key)
+        if hit is None:
+            hit = self._round_trips[key] = self._round_trip(gpu, switch)
+        return hit
+
     def path_times(
         self,
         pairs: tuple[tuple[int, int], ...],
@@ -192,11 +212,13 @@ class CommContext:
         The bottleneck is the least :meth:`path_bottleneck` over
         ``pairs`` (``inf`` when no pair has a hop); the latency is the
         ``max`` over pairs of each path's ``hop_latency`` summed left to
-        right. A live view builds, on the first call for a ``pairs``
-        tuple, the flat link ids of every pair and that static latency;
-        each later call is one gather of ``available()``. A ``min``
-        does not depend on order, so both views return the same floats.
-        A capacity view reads its per-pair :meth:`path_bottleneck` memo.
+        right, which is the path's :meth:`path_time` at zero bytes
+        (each hop adds ``hop_latency + 0.0``). A live view builds, on the
+        first call for a ``pairs`` tuple, the flat link ids of every pair
+        and that static latency; each later call is one gather of
+        ``available()``. A ``min`` does not depend on order, so both views
+        return the same floats. A capacity view reads its per-pair
+        :meth:`path_bottleneck` and zero-byte :meth:`path_time` memos.
         """
         if self.linkstate is None:
             return (
@@ -218,11 +240,7 @@ class CommContext:
 
     def _slowest_hops(self, pairs: tuple[tuple[int, int], ...]) -> float:
         """``max`` over ``pairs`` of the path's summed hop latencies."""
-        links = self.built.topology.links
-        return max(
-            sum(links[lid].hop_latency for lid in self.path_links(u, v))
-            for u, v in pairs
-        )
+        return max(self.path_time(u, v, 0.0) for u, v in pairs)
 
     def _hop_index(
         self, pairs: tuple[tuple[int, int], ...]
@@ -257,6 +275,13 @@ class CommContext:
             bw = link.capacity if avail is None else float(avail[lid])
             total += link.hop_latency + data_bytes / bw
         return total
+
+    def _round_trip(self, gpu: int, switch: int) -> float:
+        """:meth:`round_trip` without its own memo."""
+        sel = self.route_table.selection_bytes
+        return self.path_time(gpu, switch, sel) + self.path_time(
+            switch, gpu, sel
+        )
 
     def _min_hop(self, src: int, dst: int) -> float:
         """:meth:`path_bottleneck` without the memo."""
@@ -326,15 +351,30 @@ class Route:
     leader election and member order are fixed then, on the offline
     view for committed policies. ``links`` are the directed links the
     policy occupies (load registration, Eq. 18 sharing); :meth:`time`
-    reads only the live ``B(e)`` of those links. Routes are values:
-    built once, never mutated (not frozen only because frozen
-    dataclasses are slow to build on the planner's hot path).
+    reads only the live ``B(e)`` of those links. A route is built with
+    its links or with a zero-argument function that walks them; the
+    function runs on the first read of :attr:`links` and its tuple
+    replaces it, so an Eq. 7 candidate that is only priced never walks
+    its footprint. Apart from that fill, routes are values, never mutated
+    (not frozen only because frozen dataclasses are slow to build on the
+    planner's hot path).
     """
 
     mode: str
     #: aggregation switch the policy depends on (None for switchless)
     switch: int | None
-    links: tuple[int, ...]
+    #: the links, or the function that builds them (see :attr:`links`)
+    _links: tuple[int, ...] | Callable[[], tuple[int, ...]] = field(
+        repr=False, compare=False
+    )
+
+    @property
+    def links(self) -> tuple[int, ...]:
+        """Directed links the policy occupies, built on first read."""
+        links = self._links
+        if callable(links):
+            links = self._links = links()
+        return links
 
     def time(self, ctx: CommContext, data_bytes: float) -> float:
         """Latency of one all-reduce of ``data_bytes`` at ``ctx``'s view."""

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 
 from repro.comm.context import CommContext, Route
 from repro.comm.ina import ina_route, select_ina_switch
@@ -123,7 +124,6 @@ def hybrid_routes(
     if switch is None:
         switch = select_ina_switch(ctx, [m[0] for m in servers])
     leaders = tuple(elect_leader(ctx, m, switch) for m in servers)
-    legs = leader_legs(ctx, servers, leaders)
     routes = []
     for mode in modes:
         ina = mode in ("ina", "hybrid-ina")
@@ -131,18 +131,34 @@ def hybrid_routes(
             ina_route(ctx, leaders, switch) if ina
             else ring_route(ctx, leaders)
         )
-        # Policy rows ("hybrid-*") list the Ethernet stage first, so
-        # their most-utilised-link tag breaks ties on the fabric; the
-        # estimate's legs-first order is pinned by the plan goldens.
-        rows_order = mode.startswith("hybrid-")
         routes.append(
             HybridRoute(
                 mode,
                 switch if ina else None,
-                stage2.links + legs if rows_order else legs + stage2.links,
+                partial(
+                    _hybrid_links, ctx, servers, leaders, stage2,
+                    mode.startswith("hybrid-"),
+                ),
                 servers,
                 leaders,
                 stage2,
             )
         )
     return routes
+
+
+def _hybrid_links(
+    ctx: CommContext,
+    servers: tuple[tuple[int, ...], ...],
+    leaders: tuple[int, ...],
+    stage2: Route,
+    stage2_first: bool,
+) -> tuple[int, ...]:
+    """A hybrid route's links: the leaders' legs and the Ethernet stage.
+
+    Policy rows (``stage2_first``) list the Ethernet stage first, so
+    their most-utilised-link tag breaks ties on the fabric; the
+    estimate's legs-first order is pinned by the plan goldens.
+    """
+    legs = leader_legs(ctx, servers, leaders)
+    return stage2.links + legs if stage2_first else legs + stage2.links

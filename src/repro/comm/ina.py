@@ -75,13 +75,10 @@ def switch_delay(ctx: CommContext, gpus: Sequence[int], switch: int) -> float:
     """Algorithm 2's group delay at ``switch``.
 
     The worst member's round-trip (collection + distribution) latency at
-    the route-selection size.
+    the route-selection size (:meth:`CommContext.round_trip`, memoized
+    per member and switch in a capacity view).
     """
-    sel = ctx.route_table.selection_bytes
-    return max(
-        ctx.path_time(g, switch, sel) + ctx.path_time(switch, g, sel)
-        for g in gpus
-    )
+    return max(ctx.round_trip(g, switch) for g in gpus)
 
 
 def select_ina_switch(
@@ -152,6 +149,10 @@ class InaRoute(Route):
 
 def ina_route(ctx: CommContext, gpus: Sequence[int], switch: int) -> InaRoute:
     """Aggregation of ``gpus`` at ``switch``: collection + distribution."""
+    members = tuple(gpus)
     return InaRoute(
-        "ina", switch, tuple(ina_link_footprint(ctx, gpus, switch)), tuple(gpus)
+        "ina",
+        switch,
+        lambda: tuple(ina_link_footprint(ctx, members, switch)),
+        members,
     )

@@ -103,5 +103,6 @@ def ring_route(ctx: CommContext, gpus: Sequence[int]) -> RingRoute:
     """The plain ring over ``gpus`` (Eq. 7's ``beta`` alternative)."""
     order = tuple(ring_order(ctx, gpus))
     return RingRoute(
-        "ring", None, tuple(ring_link_footprint(ctx, order, order)), order
+        "ring", None, lambda: tuple(ring_link_footprint(ctx, order, order)),
+        order,
     )

@@ -229,7 +229,7 @@ class CollectiveScheme(ABC):
         """Protocol correction of a route's time ``t`` (estimate, forced)."""
         return t
 
-    def estimate_time(
+    def estimate_route(
         self,
         ctx: CommContext,
         gpus: Sequence[int],
@@ -237,14 +237,15 @@ class CollectiveScheme(ABC):
         n_slots: int = DEFAULT_N_SLOTS,
         slot_payload: int = DEFAULT_SLOT_PAYLOAD,
         contention: float = 0.0,
-    ) -> GroupCommEstimate:
-        """One synchronisation step's latency under this scheme.
+    ) -> tuple[Route, float]:
+        """The Eq. 7 winner among the group's routes, with its step time.
 
         This is Algorithm 2's ``getlatency``: the cheapest of the
-        scheme's candidate routes against the plain ring, returned with
-        its selector. Every scheme keeps the ring fallback, because all
-        baselines fall back to NCCL when INA would be slower. Single-GPU
-        groups short-circuit to a zero-cost ring estimate.
+        scheme's candidate routes against the plain ring. Every scheme
+        keeps the ring fallback, because all baselines fall back to NCCL
+        when INA would be slower. Single-GPU groups short-circuit to a
+        zero-cost ring. Pricing reads no route's ``links``, so no
+        footprint is walked until a caller reads the winner's.
 
         The candidates are resolved on ``ctx`` itself: the planner's
         view is the offline one, and an estimate made on a live view
@@ -268,6 +269,25 @@ class CollectiveScheme(ABC):
                     best, t_best = route, t
             if not t_best <= t_ring:
                 best, t_best = ring, t_ring
+        return best, t_best
+
+    def estimate_time(
+        self,
+        ctx: CommContext,
+        gpus: Sequence[int],
+        data_bytes: float,
+        n_slots: int = DEFAULT_N_SLOTS,
+        slot_payload: int = DEFAULT_SLOT_PAYLOAD,
+        contention: float = 0.0,
+    ) -> GroupCommEstimate:
+        """One synchronisation step's latency under this scheme.
+
+        :meth:`estimate_route`'s winner returned with its selector and
+        the links it occupies.
+        """
+        best, t_best = self.estimate_route(
+            ctx, gpus, data_bytes, n_slots, slot_payload, contention
+        )
         return GroupCommEstimate(
             self.kind, best.mode, best.switch, t_best, best.links
         )
@@ -428,8 +448,12 @@ class HybridScheme(CollectiveScheme):
             return RingRoute(mode, None, (), tuple(ring_order(view, gpus)))
         if mode == "none" and len(servers) == 1:
             # The estimate's NVLink ring registers the leader's legs.
-            legs = leader_legs(view, servers, [servers[0][0]])
-            return RingRoute(mode, None, legs, tuple(ring_order(view, gpus)))
+            return RingRoute(
+                mode,
+                None,
+                lambda: leader_legs(view, servers, [servers[0][0]]),
+                tuple(ring_order(view, gpus)),
+            )
         if staged or mode == "none":
             return ring_route(view, gpus)
         return super()._resolve(view, gpus, mode, switch)

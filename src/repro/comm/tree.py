@@ -23,6 +23,7 @@ hit server-adjacent partners. One file, one registration — see
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.comm.context import CommContext, Route
 from repro.comm.ring import ring_order
@@ -78,6 +79,22 @@ def tree_allreduce_time(
     return pre + 2.0 * halving + post
 
 
+def _tree_links(ctx: CommContext, gpus: tuple[int, ...]) -> tuple[int, ...]:
+    """Every directed link any halving/doubling exchange traverses."""
+    members, p2 = _split(ctx, gpus)
+    links: list[int] = []
+    for i in range(len(members) - p2):
+        links.extend(ctx.path_links(members[p2 + i], members[i]))
+        links.extend(ctx.path_links(members[i], members[p2 + i]))
+    core = members[:p2]
+    dist = 1
+    while dist < p2:
+        for i in range(p2):
+            links.extend(ctx.path_links(core[i], core[i ^ dist]))
+        dist <<= 1
+    return tuple(links)
+
+
 @dataclass
 class TreeRoute(Route):
     """Halving-doubling over ``members`` (server-major pairing)."""
@@ -96,19 +113,10 @@ class TreeScheme(CollectiveScheme):
     def _resolve(self, view, gpus, mode, switch):
         if mode != "tree":
             return super()._resolve(view, gpus, mode, switch)
-        # Every directed link any halving/doubling exchange traverses.
-        members, p2 = _split(view, gpus)
-        links: list[int] = []
-        for i in range(len(members) - p2):
-            links.extend(view.path_links(members[p2 + i], members[i]))
-            links.extend(view.path_links(members[i], members[p2 + i]))
-        core = members[:p2]
-        dist = 1
-        while dist < p2:
-            for i in range(p2):
-                links.extend(view.path_links(core[i], core[i ^ dist]))
-            dist <<= 1
-        return TreeRoute(mode, None, tuple(links), tuple(gpus))
+        members = tuple(gpus)
+        return TreeRoute(
+            mode, None, partial(_tree_links, view, members), members
+        )
 
     def _candidates(self, view, gpus):
         return [self._resolve(view, gpus, "tree", None)]

@@ -29,6 +29,7 @@ the ``DS-2Stage`` baseline's collective. See ``docs/COLLECTIVES.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.comm.context import CommContext, Route
 from repro.comm.hybrid import group_by_server, leader_legs
@@ -77,6 +78,18 @@ def twostage_allreduce_time(
     return 2.0 * stage_local + stage_ring
 
 
+def _twostage_links(
+    ctx: CommContext, gpus: tuple[int, ...]
+) -> tuple[int, ...]:
+    """A one-server group's Ethernet ring; otherwise the NVLink
+    member↔leader legs plus the leaders' ring."""
+    servers = list(group_by_server(ctx, gpus).values())
+    if len(servers) == 1:
+        return ring_route(ctx, gpus).links
+    leaders = [m[0] for m in servers]
+    return leader_legs(ctx, servers, leaders) + ring_route(ctx, leaders).links
+
+
 @dataclass
 class TwoStageRoute(Route):
     """The two-stage all-reduce over ``members`` (static leaders)."""
@@ -98,17 +111,10 @@ class TwoStageScheme(CollectiveScheme):
             # Policy row of a one-server group: registers no links.
             return TwoStageRoute(mode, None, (), tuple(gpus))
         if mode in ("2stage", "none"):
-            servers = list(group_by_server(view, gpus).values())
-            if len(servers) == 1:
-                links = ring_route(view, gpus).links
-            else:
-                # NVLink member↔leader legs plus the leaders' ring.
-                leaders = [m[0] for m in servers]
-                links = (
-                    leader_legs(view, servers, leaders)
-                    + ring_route(view, leaders).links
-                )
-            return TwoStageRoute(mode, None, links, tuple(gpus))
+            members = tuple(gpus)
+            return TwoStageRoute(
+                mode, None, partial(_twostage_links, view, members), members
+            )
         return super()._resolve(view, gpus, mode, switch)
 
     def _candidates(self, view, gpus):

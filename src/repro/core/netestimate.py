@@ -9,7 +9,8 @@ Given a candidate parallelism ``(P_tens, P_pipe)``, the admissible GPU set
    k-means on interconnection latency,
 3. selects each group's aggregation switch and communication mode
    (INA ``alpha`` vs ring ``beta``) via ``getlatency`` — here
-   :func:`repro.comm.latency.estimate_group_step`,
+   :func:`repro.comm.latency.estimate_group_step` (the perturbation
+   reads the winning time alone, ``CollectiveScheme.estimate_route``),
 4. polishes the grouping with random swap perturbations, re-running the
    mode selection after each accepted swap,
 5. assembles ``T_n`` = per-step sync latency x steps + inter-stage
@@ -28,8 +29,8 @@ from repro.comm.latency import (
     PhaseCommEstimate,
     SchemeKind,
     allreduce_bytes,
-    estimate_group_step,
     estimate_phase_comm,
+    get_scheme,
 )
 from repro.core.grouping import group_gpus
 from repro.llm.models import ModelConfig
@@ -91,16 +92,16 @@ def estimate_network_latency(
     rng = rng or make_rng()
     data = allreduce_bytes(model, tokens)
 
+    # The perturbation compares step times only: no route footprint is
+    # walked for a group it prices (mode selection builds the estimates).
     if cache is not None:
         def group_cost(group: Sequence[int]) -> float:
-            return cache.group_step(
-                group, data, scheme, contention=contention
-            ).step_time
+            return cache.group_time(group, data, scheme, contention=contention)
     else:
+        estimate_route = get_scheme(scheme).estimate_route
+
         def group_cost(group: Sequence[int]) -> float:
-            return estimate_group_step(
-                ctx, group, data, scheme, contention=contention
-            ).step_time
+            return estimate_route(ctx, group, data, contention=contention)[1]
 
     with profiler.phase("netestimate.distance_matrix"):
         dist = (

@@ -1,11 +1,12 @@
 """Differential tests: each pricing fast path against its slow reference.
 
-The route-table link-path memo, the capacity view's path-price memo, the
-per-version ``available()`` array, the vectorised policy-table refresh, the
-share-free table's skipped EWMA, the batched live path prices of Eqs. 6
-and 14, the live ring price and the one-handle multi-rate registration
-must reproduce the scalar code they replace bit for bit, so every
-comparison here is exact equality.
+The route-table link-path memo, the capacity view's path-price memo and
+its per-pair hop-latency and switch round-trip memos, the lazily built
+route footprints, the per-version ``available()`` array, the vectorised
+policy-table refresh, the share-free table's skipped EWMA, the batched
+live path prices of Eqs. 6 and 14, the live ring price and the one-handle
+multi-rate registration must reproduce the scalar code they replace bit
+for bit, so every comparison here is exact equality.
 """
 
 import functools
@@ -17,10 +18,23 @@ from hypothesis import strategies as st
 
 from repro.comm import (
     CommContext,
+    HybridRoute,
+    InaRoute,
     SchemeKind,
+    TreeRoute,
+    TwoStageRoute,
+    group_by_server,
+    ina_link_footprint,
     pipeline_sync_time,
+    rank_switches,
+    registered_schemes,
     ring_allreduce_time,
+    ring_link_footprint,
+    ring_route,
+    select_ina_switch,
 )
+from repro.comm.hybrid import leader_legs
+from repro.comm.ina import switch_delay
 from repro.core import (
     SLA_TESTBED_CHATBOT,
     LoadAwareScheduler,
@@ -849,3 +863,253 @@ def test_background_bursts_write_the_tracker_once(topo):
     assert multi.handles_issued == fast.bursts_started
     assert single.handles_issued == 8 * slow.bursts_started
     assert multi.active_registrations() == single.active_registrations() == 0
+
+
+@functools.cache
+def _memo_views(topo: str, view: str):
+    """Both capacity views, kept across tests so later lookups are memo
+    hits, and an idle live view that memoizes no path price."""
+    return (
+        _ctx(topo, view),
+        _ctx(topo, view, live=True).offline(),
+        _ctx(topo, view, live=True),
+    )
+
+
+def _cold_latency(ctx: CommContext, u: int, v: int) -> float:
+    """A path's hop latencies summed left to right, walked afresh."""
+    links = ctx.built.topology.links
+    return sum(links[lid].hop_latency for lid in ctx.path_links(u, v))
+
+
+def _cold_delay(ctx: CommContext, gpus, switch: int) -> float:
+    """Algorithm 2's group delay as the per-member round-trip loop."""
+    sel = ctx.route_table.selection_bytes
+    return max(
+        ctx.path_time(g, switch, sel) + ctx.path_time(switch, g, sel)
+        for g in gpus
+    )
+
+
+class TestStaticPairMemos:
+    """The capacity view's per-pair hop latency (its zero-byte path
+    price) and switch round trip."""
+
+    @pytest.mark.parametrize("view", sorted(VIEWS))
+    @pytest.mark.parametrize("topo", sorted(BUILDERS))
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_ring_terms_match_cold_walk(self, topo, view, data):
+        members = data.draw(_rings(topo))
+        pairs = tuple(zip(members, members[1:] + members[:1]))
+        *memos, cold = _memo_views(topo, view)
+        expect = (
+            min(cold.path_bottleneck(u, v) for u, v in pairs),
+            max(_cold_latency(cold, u, v) for u, v in pairs),
+        )
+        for ctx in memos:
+            for _ in range(2):  # the repeat reads the memos
+                for u, v in pairs:
+                    # a path's price at zero bytes is its hop latency
+                    assert ctx.path_time(u, v, 0.0) == _cold_latency(
+                        cold, u, v
+                    )
+                assert ctx.ring_terms(pairs) == expect
+            assert ctx._rings == {}
+
+    @pytest.mark.parametrize("view", sorted(VIEWS))
+    @pytest.mark.parametrize("topo", sorted(BUILDERS))
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_switch_scores_match_cold_walk(self, topo, view, data):
+        built = _built(topo)
+        switches = built.ina_capable_switches()
+        gpus = data.draw(_rings(topo))
+        cands = data.draw(st.permutations(switches))
+        cands = cands[: data.draw(st.integers(1, len(cands)))]
+        k = data.draw(st.integers(0, len(switches) + 1))
+        *memos, cold = _memo_views(topo, view)
+        delay = {sw: _cold_delay(cold, gpus, sw) for sw in switches}
+        for ctx in memos:
+            for _ in range(2):
+                for sw in switches:
+                    assert switch_delay(ctx, gpus, sw) == delay[sw]
+                # the first minimum in candidate order ...
+                assert select_ina_switch(ctx, gpus, cands) == min(
+                    cands, key=delay.__getitem__
+                )
+                # ... and the (delay, id) rank
+                assert rank_switches(ctx, gpus, k) == sorted(
+                    switches, key=lambda sw: (delay[sw], sw)
+                )[: max(1, k)]
+            assert all(type(t) is float for t in ctx._round_trips.values())
+            assert ctx._rings == {}
+
+    def test_tied_switches_keep_candidate_order(self):
+        ctx, _, cold = _memo_views("testbed", "hetero")
+        switches = ctx.built.ina_capable_switches()
+        gpus = ctx.built.topology.gpu_ids()
+        tied = [
+            pair
+            for pair in zip(gpus, gpus[1:])
+            if len({_cold_delay(cold, pair, sw) for sw in switches}) == 1
+        ]
+        assert tied and len(switches) == 2
+        for pair in tied:
+            for cands in (switches, switches[::-1]):
+                assert select_ina_switch(ctx, pair, cands) == cands[0]
+            assert rank_switches(ctx, pair, 2) == sorted(switches)
+
+    def test_repeat_lookups_walk_nothing(self, monkeypatch):
+        walks = []
+        for name in ("_sum_hops", "_round_trip"):
+            cold = getattr(CommContext, name)
+
+            def counted(self, *args, _cold=cold):
+                walks.append(args)
+                return _cold(self, *args)
+
+            monkeypatch.setattr(CommContext, name, counted)
+        ctx = _ctx("xtracks-2x1", "hetero")
+        gpus = ctx.built.topology.gpu_ids()[::5]
+        ring = tuple(zip(gpus, gpus[1:] + gpus[:1]))
+        switches = ctx.built.ina_capable_switches()
+        first = ctx.ring_terms(ring), rank_switches(ctx, gpus, 2)
+        # a zero-byte price per ring pair, a round trip (two selection-size
+        # prices) per member and switch
+        assert len(walks) == len(ring) + 3 * len(gpus) * len(switches)
+        walks.clear()
+        assert (ctx.ring_terms(ring), rank_switches(ctx, gpus, 2)) == first
+        assert walks == []
+
+    def test_live_view_memoizes_nothing(self):
+        ctx = _ctx("testbed", "hetero", live=True)
+        gpus = ctx.built.topology.gpu_ids()
+        sw = ctx.built.access_switches[0]
+        idle = switch_delay(ctx, gpus[:4], sw)
+        ring = tuple(zip(gpus[:4], gpus[1:5]))
+        ctx.ring_terms(ring)
+        links = list(ctx.path_links(gpus[0], sw))
+        ctx.linkstate.register(links, 0.5 * ctx.linkstate.capacity[links[0]])
+        assert switch_delay(ctx, gpus[:4], sw) > idle
+        assert ctx._prices == {} and ctx._round_trips == {}
+
+
+def _eager_links(view: CommContext, gpus, route) -> tuple[int, ...]:
+    """A route's footprint as it was built when routes were resolved."""
+    if isinstance(route, HybridRoute):
+        legs = leader_legs(view, route.servers, route.leaders)
+        stage2 = _eager_links(view, route.leaders, route.stage2)
+        if route.mode.startswith("hybrid-"):
+            return stage2 + legs
+        return legs + stage2
+    if route.mode == "nvlink":
+        return ()
+    if isinstance(route, InaRoute):
+        return tuple(ina_link_footprint(view, gpus, route.switch))
+    if isinstance(route, TreeRoute):
+        nodes = view.built.topology.nodes
+        members = sorted(gpus, key=lambda g: (nodes[g].server, g))
+        p2 = 1
+        while p2 * 2 <= len(members):
+            p2 *= 2
+        links: list[int] = []
+        for i in range(len(members) - p2):
+            links.extend(view.path_links(members[p2 + i], members[i]))
+            links.extend(view.path_links(members[i], members[p2 + i]))
+        dist = 1
+        while dist < p2:
+            for i in range(p2):
+                links.extend(view.path_links(members[i], members[i ^ dist]))
+            dist <<= 1
+        return tuple(links)
+    servers = list(group_by_server(view, gpus).values())
+    if isinstance(route, TwoStageRoute):
+        if len(servers) == 1:
+            return ring_route(view, gpus).links
+        leaders = [m[0] for m in servers]
+        return (
+            leader_legs(view, servers, leaders)
+            + ring_route(view, leaders).links
+        )
+    if route.mode == "none":  # the hybrid estimate's one-server ring
+        return leader_legs(view, servers, [servers[0][0]])
+    return tuple(ring_link_footprint(view, route.members, route.members))
+
+
+def _check_lazy(view: CommContext, gpus, route) -> None:
+    assert callable(route._links) or route._links == ()
+    links = route.links
+    assert type(links) is tuple and route.links is links
+    assert links == _eager_links(view, gpus, route)
+
+
+class TestLazyFootprints:
+    @pytest.mark.parametrize("scheme", [s.name for s in registered_schemes()])
+    @pytest.mark.parametrize("topo", sorted(BUILDERS))
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_links_equal_eager_footprint(self, topo, scheme, data):
+        scheme = next(s for s in registered_schemes() if s.name == scheme)
+        view_name = "hetero" if scheme.heterogeneous else "ethernet"
+        ctx, _, live = _memo_views(topo, view_name)
+        gpus = list(data.draw(_rings(topo)))
+        size = data.draw(st.sampled_from([65_536.0, 3.7e7]))
+        # every Eq. 7 candidate, the plain ring included
+        for route in scheme._candidates(ctx, gpus) + [ring_route(ctx, gpus)]:
+            _check_lazy(ctx, gpus, route)
+        # the winner's links are what the estimate registers
+        best, t = scheme.estimate_route(ctx, gpus, size)
+        est = scheme.estimate_time(ctx, gpus, size)
+        assert (est.mode, est.ina_switch, est.step_time) == (
+            best.mode, best.switch, t
+        )
+        assert est.links == _eager_links(ctx, gpus, best)
+        # policy-table rows, resolved on the live view's capacity view
+        k = data.draw(st.integers(1, 3))
+        for route in scheme.policy_routes(live, gpus, k):
+            _check_lazy(live.offline(), gpus, route)
+
+    def test_planner_walks_only_mode_selection_footprints(self, monkeypatch):
+        counts = dict.fromkeys(("ring", "ina", "legs"), 0)
+        import repro.comm.hybrid
+        import repro.comm.ina
+        import repro.comm.ring
+        import repro.comm.scheme
+        import repro.comm.twostage
+
+        for key, module, name in (
+            ("ring", repro.comm.ring, "ring_link_footprint"),
+            ("ina", repro.comm.ina, "ina_link_footprint"),
+            ("legs", repro.comm.hybrid, "leader_legs"),
+            ("legs", repro.comm.scheme, "leader_legs"),
+            ("legs", repro.comm.twostage, "leader_legs"),
+        ):
+            def counted(*args, _fn=getattr(module, name), _key=key):
+                counts[_key] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        ctx = CommContext.from_built(_built("xtracks-2x1"))
+        bank = CostModelBank(OPT_66B, {"A100": A100, "V100": V100})
+        planner = OfflinePlanner(
+            ctx,
+            OPT_66B,
+            bank,
+            SLA_TESTBED_CHATBOT,
+            SchemeKind.HYBRID,
+            config=PlannerConfig(seed=0, max_candi=6),
+        )
+        report = planner.plan(BatchSpec.uniform(8, 256, 220), arrival_rate=0.5)
+        assert report.plan is not None
+        # 1,089 groups priced; mode selection read 43 estimates: 20
+        # one-server NVLink rings walk the leader's legs, 4 hybrid INA
+        # stages walk legs and an INA footprint, 19 plain-ring fallbacks
+        # walk a ring. Eager routes walked 4,003 footprints here.
+        assert report.cache_stats["group_misses"] == 1089
+        modes = [e.mode for e in planner._cache._group_memo.values()]
+        assert len(modes) == 43
+        assert counts == {"ring": 19, "ina": 4, "legs": 24}
+        assert counts["ina"] == modes.count("ina")
+        assert counts["ring"] == modes.count("ring")
+        assert counts["legs"] == modes.count("none") + modes.count("ina")
